@@ -11,7 +11,7 @@ use mvbench::conformance::{exec_round, find_executed_anomaly, optimal_alloc, run
 use mvisolation::{allowed_under, Allocation};
 use mvmodel::serializability::is_conflict_serializable;
 use mvrobustness::{corroborate_anomaly, is_robust};
-use mvsim::{RoundRobinScheduler, SimConfig, SsiMode};
+use mvsim::{run_parallel_workload, run_workload, RoundRobinScheduler, SimConfig, SsiMode};
 use mvworkloads::SmallBank;
 use std::sync::Arc;
 
@@ -70,6 +70,107 @@ fn hundred_plus_rounds_execute_conformantly() {
         }
     }
     assert!(rounds >= 100, "suite shrank below 100 rounds: {rounds}");
+}
+
+/// FNV-1a (64-bit) offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a (64-bit) digest.
+fn fnv1a(mut digest: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        digest ^= u64::from(b);
+        digest = digest.wrapping_mul(0x0100_0000_01b3);
+    }
+    digest
+}
+
+/// Sequential digests of the 105-round grid at base seed `0xB16`, per
+/// family (in [`Family::ALL`] order) × detector (`[Exact,
+/// Conservative]`).
+const PINNED_SEQUENTIAL: [[u64; 2]; 5] = [
+    [0x9e4a_3dd2_8241_5c5f, 0x5194_43ef_9d74_747d],
+    [0xa74f_b71c_e198_d27d, 0x5f1f_a7dc_5de5_b023],
+    [0x49b7_7707_362a_9597, 0x70c2_2f91_b0b1_7d73],
+    [0x0624_8d26_2203_d99f, 0x91ec_651f_8002_a0d4],
+    [0x1b5c_8aa9_d42d_dc14, 0xb8a2_3e91_e7e7_e869],
+];
+
+/// Digests of the one-thread parallel engine over the same workloads,
+/// per family.
+const PINNED_ONE_THREAD: [u64; 5] = [
+    0x758c_38ed_5c5c_5499,
+    0x7f41_1abb_5b3e_9148,
+    0x357b_648e_3c36_3ab4,
+    0xb029_556c_4421_de90,
+    0x8192_f221_42e1_120c,
+];
+
+/// The oracle pinned: the sequential engine's `Metrics` and exported
+/// schedule on every round of the 105-round grid, at the fixed base seed
+/// `0xB16` (`SIM_SEED` is ignored), hash to constant digests; so does
+/// the one-thread parallel engine, which is deterministic. A change to
+/// the engines' internals that alters any interleaving, counter or
+/// observed version fails here.
+#[test]
+fn sequential_traces_match_pinned_digests() {
+    let base = 0xB16u64;
+    let mut rounds = 0u64;
+    let mut sequential = [[FNV_OFFSET; 2]; 5];
+    let mut one_thread = [FNV_OFFSET; 5];
+    for (fi, family) in Family::ALL.into_iter().enumerate() {
+        for wl_seed in 0..7u64 {
+            let txns = family.workload(wl_seed);
+            let alloc = optimal_alloc(&txns);
+            for (concurrency, mode) in [
+                (2, SsiMode::Exact),
+                (4, SsiMode::Conservative),
+                (8, SsiMode::Exact),
+            ] {
+                let config = SimConfig::default()
+                    .with_seed(base.wrapping_add(rounds))
+                    .with_concurrency(concurrency)
+                    .with_ssi_mode(mode);
+                let engine = run_workload(&txns, &alloc, config);
+                let schedule = engine.trace.export().expect("trace on").schedule;
+                let d = &mut sequential[fi][usize::from(mode == SsiMode::Conservative)];
+                *d = fnv1a(*d, format!("{:?}", engine.metrics).as_bytes());
+                *d = fnv1a(*d, mvmodel::fmt::schedule_full(&schedule).as_bytes());
+                rounds += 1;
+            }
+            let run = run_parallel_workload(
+                &txns,
+                &alloc,
+                SimConfig::default().with_seed(base).with_threads(1),
+            );
+            let schedule = run.trace.export().expect("trace on").schedule;
+            let d = &mut one_thread[fi];
+            *d = fnv1a(*d, format!("{:?}", run.metrics).as_bytes());
+            *d = fnv1a(*d, mvmodel::fmt::schedule_full(&schedule).as_bytes());
+        }
+    }
+    assert_eq!(rounds, 105);
+    let render = |d: &[u64]| {
+        d.iter()
+            .map(|x| format!("{x:#018x}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    for (fi, family) in Family::ALL.into_iter().enumerate() {
+        assert_eq!(
+            sequential[fi],
+            PINNED_SEQUENTIAL[fi],
+            "sequential digests moved on the {} family: [{}]",
+            family.label(),
+            render(&sequential[fi])
+        );
+        assert_eq!(
+            one_thread[fi],
+            PINNED_ONE_THREAD[fi],
+            "one-thread parallel digest moved on the {} family: {:#018x}",
+            family.label(),
+            one_thread[fi]
+        );
+    }
 }
 
 /// Replay: the same (workload seed, sim seed, concurrency) must reproduce
