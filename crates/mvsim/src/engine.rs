@@ -1,15 +1,15 @@
-//! The MVCC engine: executes individual operations of concurrent
-//! transaction attempts under per-transaction isolation levels.
+//! The sequential MVCC engine: executes individual operations of
+//! concurrent transaction attempts under per-transaction isolation
+//! levels, one step at a time, over the shared core.
 
 use crate::config::{SimConfig, SsiMode};
-use crate::locks::{LockOutcome, LockTable};
 use crate::metrics::{LatencyStats, Metrics};
-use crate::ssi::{SsiTracker, TxnFootprint};
+use crate::mvcc::{Core, Txn, WriteLock};
 use crate::trace::TraceRecorder;
-use crate::version::{AttemptId, Observed, Version, VersionStore};
+use crate::version::AttemptId;
 use mvisolation::IsolationLevel;
 use mvmodel::{Object, Op, OpKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Why an attempt was aborted.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -47,45 +47,28 @@ pub enum StepOutcome {
     Aborted(AbortReason),
 }
 
-/// An in-flight transaction attempt.
-#[derive(Debug)]
+/// An in-flight attempt as the step interpreter sees it: the core's
+/// transaction state plus the program and where it stands.
 struct Active {
-    level: IsolationLevel,
+    txn: Txn,
     ops: Vec<Op>,
     pc: usize,
-    /// Snapshot/start timestamp; assigned lazily at the first operation so
-    /// `first(T)` semantics match the formal model.
-    start_ts: Option<u64>,
-    /// Observed version per read, in program order.
-    reads: Vec<(Object, Observed)>,
-    /// Buffered writes (installed at commit).
-    writes: Vec<Object>,
-    /// Program counter of a write already recorded in the trace at its
-    /// first (blocked) attempt — see `Engine::write`.
-    trace_recorded_pc: Option<usize>,
+    /// The object whose lock the attempt is queued for.
+    waiting: Option<Object>,
 }
 
-impl Active {
-    fn has_written(&self, object: Object) -> bool {
-        self.writes.contains(&object)
-    }
-}
-
-/// The multiversion engine.
+/// The seeded step interpreter over the MVCC core ([`crate::mvcc`]).
 ///
 /// The driver owns the scheduling policy; the engine exposes
-/// [`Engine::begin`], [`Engine::step`] and bookkeeping accessors.
+/// [`Engine::begin`], [`Engine::step`] and bookkeeping accessors. One
+/// step executes one operation (or the commit) of one attempt; a write
+/// whose lock request queues reports [`StepOutcome::Blocked`], and the
+/// release that hands the lock over reports the attempt as woken.
 pub struct Engine {
-    config: SimConfig,
-    clock: u64,
-    store: VersionStore,
-    locks: LockTable,
-    ssi: SsiTracker,
+    core: Core,
     active: HashMap<AttemptId, Active>,
     next_attempt: u64,
     pending_wakes: Vec<AttemptId>,
-    /// SSI transactions marked for abort by conservative-mode pivot rules.
-    doomed: HashSet<AttemptId>,
     pub metrics: Metrics,
     /// Per-job commit latencies, filled by the driver.
     pub latency: LatencyStats,
@@ -97,32 +80,21 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(config: SimConfig) -> Self {
-        let record = config.record_trace;
         Engine {
-            config,
-            clock: 0,
-            store: VersionStore::new(),
-            locks: LockTable::new(),
-            ssi: SsiTracker::new(),
+            core: Core::new(config.ssi_mode),
             active: HashMap::new(),
             next_attempt: 0,
             pending_wakes: Vec::new(),
-            doomed: HashSet::new(),
             metrics: Metrics::default(),
             latency: LatencyStats::default(),
             latency_by_level: Default::default(),
-            trace: TraceRecorder::new(record),
+            trace: TraceRecorder::new(config.record_trace),
         }
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
     }
 
     /// Current logical time.
     pub fn now(&self) -> u64 {
-        self.clock
+        self.core.now()
     }
 
     /// Starts a new attempt executing `ops` at `level`.
@@ -130,16 +102,16 @@ impl Engine {
         self.next_attempt += 1;
         let id = AttemptId(self.next_attempt);
         self.trace.record_level(id, level);
+        // The trace recorder decides what to keep; the core always logs,
+        // so `TraceRecorder::last_read_observed` works untraced too.
+        let txn = Txn::new(id, level, true);
         self.active.insert(
             id,
             Active {
-                level,
+                txn,
                 ops,
                 pc: 0,
-                start_ts: None,
-                reads: Vec::new(),
-                writes: Vec::new(),
-                trace_recorded_pc: None,
+                waiting: None,
             },
         );
         id
@@ -149,266 +121,126 @@ impl Engine {
     /// blocked on). Must not be called for attempts currently blocked —
     /// the driver waits for the wake notification from the lock release.
     pub fn step(&mut self, who: AttemptId) -> (StepOutcome, Vec<AttemptId>) {
-        debug_assert!(
-            self.locks.waiting(who).is_none(),
-            "stepping a blocked attempt"
-        );
-        if self.doomed.remove(&who) {
+        let a = self.active.get_mut(&who).expect("unknown attempt");
+        debug_assert!(a.waiting.is_none(), "stepping a blocked attempt");
+        if a.txn.doomed {
             return (self.abort(who, AbortReason::SsiDangerous), Vec::new());
         }
-        let a = self.active.get(&who).expect("unknown attempt");
-        if a.pc >= a.ops.len() {
+        let Some(&op) = a.ops.get(a.pc) else {
             return self.commit(who);
-        }
-        let op = a.ops[a.pc];
-        match op.kind {
-            OpKind::Read => {
-                self.read(who, op.object);
-                (StepOutcome::Progress, Vec::new())
-            }
-            OpKind::Write => self.write(who, op.object),
-        }
-    }
-
-    fn ensure_started(&mut self, who: AttemptId) -> u64 {
-        let now = self.clock;
-        let a = self.active.get_mut(&who).expect("unknown attempt");
-        *a.start_ts.get_or_insert(now)
-    }
-
-    fn read(&mut self, who: AttemptId, object: Object) {
-        let start = self.ensure_started(who);
-        let ts = self.tick();
-        let a = &self.active[&who];
-        let snapshot = match a.level {
-            IsolationLevel::ReadCommitted => ts, // latest committed, now
-            _ => start,                          // transaction snapshot
         };
-        debug_assert!(
-            !a.has_written(object),
-            "workloads must read an object before writing it (own-write reads \
-             are outside the paper's formal model)"
-        );
-        let observed = self.store.read(object, snapshot);
-        // Conservative SSI: observing an old version of an object a
-        // concurrent SSI transaction overwrote forms the edge
-        // `who →rw writer`; since the writer is already committed, the
-        // Postgres pivot rule applies — if the writer also has an
-        // outgoing edge, the structure is complete and the reader must
-        // abort.
-        if self.config.ssi_mode == SsiMode::Conservative
-            && a.level == IsolationLevel::SerializableSnapshotIsolation
-        {
-            if let Observed::Version(latest) = self.store.latest(object) {
-                let writer_ssi = self.ssi.footprint(latest.writer).is_some_and(|f| f.ssi);
-                if writer_ssi && latest.commit_ts > observed.ts() && latest.commit_ts > start {
-                    self.ssi.record_rw_edge(who, latest.writer);
-                    if self.ssi.has_out(latest.writer) {
-                        self.doomed.insert(who);
-                    }
+        let done = match op.kind {
+            OpKind::Read => {
+                self.core.read(&mut a.txn, op.object, &mut self.metrics);
+                Ok(true)
+            }
+            OpKind::Write => {
+                match self
+                    .core
+                    .request_write(&mut a.txn, a.pc, op.object, &mut self.metrics)
+                {
+                    Ok(WriteLock::Held) => self
+                        .core
+                        .finish_write(&mut a.txn, a.pc, op.object, &mut self.metrics)
+                        .map(|()| true),
+                    Ok(WriteLock::Queued) => Ok(false),
+                    Err(reason) => Err(reason),
                 }
             }
+        };
+        for (_, ev) in a.txn.events.drain(..) {
+            self.trace.record(who, ev);
         }
-        let a = self.active.get_mut(&who).expect("unknown attempt");
-        a.reads.push((object, observed));
-        a.pc += 1;
-        self.metrics.reads += 1;
-        self.trace.record_read(who, object, observed, ts);
-    }
-
-    fn write(&mut self, who: AttemptId, object: Object) -> (StepOutcome, Vec<AttemptId>) {
-        let start = self.ensure_started(who);
-        let a = &self.active[&who];
-        let level = a.level;
-        // First-committer-wins for snapshot transactions: a version
-        // committed after our snapshot dooms us (checked both before and
-        // after blocking).
-        if level.snapshot_at_start() && self.store.committed_after(object, start) {
-            return (self.abort(who, AbortReason::FirstCommitterWins), Vec::new());
-        }
-        match self.locks.acquire(who, object) {
-            LockOutcome::Granted => {
-                let ts = self.tick();
-                let a = self.active.get_mut(&who).expect("unknown attempt");
-                if !a.has_written(object) {
-                    a.writes.push(object);
-                }
-                let already_recorded = a.trace_recorded_pc == Some(a.pc);
-                a.trace_recorded_pc = None;
+        match done {
+            Ok(true) => {
                 a.pc += 1;
-                self.metrics.writes += 1;
-                if !already_recorded {
-                    self.trace.record_write(who, object, ts);
-                }
                 (StepOutcome::Progress, Vec::new())
             }
-            LockOutcome::Blocked { .. } => {
-                self.metrics.blocked_events += 1;
-                // Snapshot transactions take their snapshot at the first
-                // *attempt* of their first operation; the faithful formal
-                // position of a blocked write is therefore the attempt,
-                // not the resume. (Safe: first-committer-wins guarantees
-                // no version of `object` commits between attempt and
-                // resume, else this transaction aborts — so no dirty
-                // write can appear in the exported schedule.) RC
-                // transactions anchor per statement and are recorded at
-                // the resume instead.
-                if level.snapshot_at_start() {
-                    let a = self.active.get_mut(&who).expect("unknown attempt");
-                    if a.trace_recorded_pc != Some(a.pc) {
-                        a.trace_recorded_pc = Some(a.pc);
-                        let ts = self.tick();
-                        self.trace.record_write(who, object, ts);
-                    }
-                }
+            Ok(false) => {
+                a.waiting = Some(op.object);
                 (StepOutcome::Blocked, Vec::new())
             }
-            LockOutcome::Deadlock => (self.abort(who, AbortReason::Deadlock), Vec::new()),
+            Err(reason) => (self.abort(who, reason), Vec::new()),
         }
     }
 
     fn commit(&mut self, who: AttemptId) -> (StepOutcome, Vec<AttemptId>) {
-        let commit_ts = self.tick();
-        let a = self.active.get(&who).expect("unknown attempt");
-        let start_ts = a.start_ts.unwrap_or(commit_ts - 1);
-        let footprint = TxnFootprint {
-            attempt: who,
-            ssi: a.level == IsolationLevel::SerializableSnapshotIsolation,
-            start_ts,
-            commit_ts,
-            reads: a.reads.iter().map(|&(o, obs)| (o, obs.ts())).collect(),
-            writes: a.writes.iter().map(|&o| (o, commit_ts)).collect(),
+        let mut a = self.active.remove(&who).expect("unknown attempt");
+        // Conservative step (2), which needs every in-flight attempt:
+        // active SSI readers whose snapshots miss this commit's writes
+        // gain `reader →rw who`. (Every observed version and every start
+        // precede the commit tick, so overlap and staleness reduce to
+        // having read an object `who` writes.)
+        let step2 = self.core.ssi_mode() == SsiMode::Conservative && a.txn.is_ssi();
+        let stale_readers: Vec<AttemptId> = if step2 {
+            self.active
+                .values()
+                .filter(|r| {
+                    r.txn.is_ssi() && r.txn.reads.iter().any(|(o, _)| a.txn.writes.contains(o))
+                })
+                .map(|r| r.txn.id)
+                .collect()
+        } else {
+            Vec::new()
         };
-        let dangerous = match self.config.ssi_mode {
-            SsiMode::Exact => self.ssi.exact_check(&footprint),
-            SsiMode::Conservative => footprint.ssi && self.conservative_commit_check(&footprint),
-        };
-        if dangerous {
-            return (self.abort(who, AbortReason::SsiDangerous), Vec::new());
-        }
-        // Install versions and release locks.
-        let a = self.active.remove(&who).expect("unknown attempt");
-        for &object in &a.writes {
-            debug_assert!(self.locks.holds(who, object));
-            self.store.install(
-                object,
-                Version {
-                    commit_ts,
-                    writer: who,
-                },
-            );
-        }
-        self.ssi.admit(footprint);
-        let woken = self.locks.release_all(who);
-        self.metrics.record_commit(a.level);
-        self.trace.record_commit(who, commit_ts);
-        self.maybe_gc();
-        (StepOutcome::Committed, woken)
-    }
-
-    /// The Cahill/Postgres-style conservative commit protocol for an SSI
-    /// transaction `t`:
-    ///
-    /// 1. form all rw edges between `t` and *committed* concurrent SSI
-    ///    transactions (both directions), applying the pivot rules — an
-    ///    edge to a committed transaction that already has the matching
-    ///    second flag completes a potential structure and dooms `t`;
-    /// 2. form edges from *active* SSI readers that observed versions `t`
-    ///    is about to overwrite (their SIREADs), dooming any active reader
-    ///    that thereby acquires both flags;
-    /// 3. finally, abort `t` when it holds both an incoming and an
-    ///    outgoing flag.
-    fn conservative_commit_check(&mut self, t: &TxnFootprint) -> bool {
-        let who = t.attempt;
-        // (1) Edges with committed footprints.
-        let mut edges: Vec<(AttemptId, AttemptId)> = Vec::new();
-        let mut doom_self = false;
-        for f in self.ssi.committed_footprints() {
-            if !f.ssi || !f.concurrent(t) {
-                continue;
-            }
-            if t.rw_antidep_to(f) {
-                edges.push((who, f.attempt));
-                if self.ssi.has_out(f.attempt) {
-                    doom_self = true; // t → committed pivot with out-edge
-                }
-            }
-            if f.rw_antidep_to(t) {
-                edges.push((f.attempt, who));
-                if self.ssi.has_in(f.attempt) {
-                    doom_self = true; // committed pivot with in-edge → t
+        let result = self
+            .core
+            .commit(&mut a.txn, &stale_readers, &mut self.metrics, || {
+                // The GC horizon: the oldest active snapshot, or the clock
+                // when none is pinned.
+                self.active
+                    .values()
+                    .filter_map(|r| r.txn.start_ts)
+                    .min()
+                    .unwrap_or_else(|| self.core.now())
+            });
+        if step2 {
+            // ...and any active SSI attempt now holding both flags is
+            // doomed.
+            for r in self.active.values_mut() {
+                if r.txn.is_ssi() && self.core.conservative_flags(r.txn.id) {
+                    r.txn.doomed = true;
                 }
             }
         }
-        // (2) Active SSI readers whose snapshots miss our writes.
-        let mut doom_others: Vec<AttemptId> = Vec::new();
-        for (&other, a) in &self.active {
-            if other == who || a.level != IsolationLevel::SerializableSnapshotIsolation {
-                continue;
-            }
-            let overlaps = a.start_ts.is_none_or(|s| s < t.commit_ts);
-            if !overlaps {
-                continue;
-            }
-            let reads_stale = a
-                .reads
-                .iter()
-                .any(|&(o, obs)| t.writes.iter().any(|&(wo, wts)| wo == o && obs.ts() < wts));
-            if reads_stale {
-                edges.push((other, who));
-            }
+        for (_, ev) in a.txn.events.drain(..) {
+            self.trace.record(who, ev);
         }
-        for (from, to) in edges {
-            self.ssi.record_rw_edge(from, to);
-        }
-        for (&other, a) in &self.active {
-            if a.level == IsolationLevel::SerializableSnapshotIsolation
-                && self.ssi.conservative_flags(other)
-            {
-                doom_others.push(other);
+        match result {
+            Ok((_, woken)) => {
+                self.hand_over(&woken);
+                (StepOutcome::Committed, woken)
             }
+            Err(reason) => (self.roll_back(a.txn, reason), Vec::new()),
         }
-        self.doomed.extend(doom_others);
-        doom_self || self.ssi.conservative_flags(who)
     }
 
     fn abort(&mut self, who: AttemptId, reason: AbortReason) -> StepOutcome {
         let a = self.active.remove(&who).expect("unknown attempt");
-        self.doomed.remove(&who);
-        self.ssi.forget(who);
-        let woken = self.locks.release_all(who);
-        debug_assert!(woken.is_empty() || !woken.contains(&who));
+        self.roll_back(a.txn, reason)
+    }
+
+    /// Rolls back an attempt already removed from the active set.
+    fn roll_back(&mut self, txn: Txn, reason: AbortReason) -> StepOutcome {
+        let woken = self.core.abort(&txn);
+        self.hand_over(&woken);
         self.pending_wakes.extend(woken);
-        self.metrics.record_abort(reason, a.level);
-        self.trace.record_abort(who);
+        self.metrics.record_abort(reason, txn.level);
         StepOutcome::Aborted(reason)
     }
 
-    fn maybe_gc(&mut self) {
-        if self.metrics.commits.is_multiple_of(64) {
-            let horizon = self
-                .active
-                .values()
-                .filter_map(|a| a.start_ts)
-                .min()
-                .unwrap_or(self.clock);
-            self.ssi.gc(horizon);
-            // Version chains are safe to prune at the same watermark: no
-            // active snapshot sits below the minimum active start, and
-            // every future snapshot is drawn at or after the current
-            // clock. Traces are unaffected — reads already happened.
-            self.metrics.versions_pruned += self.store.gc(horizon);
+    /// Marks each woken attempt as holding the lock it was queued for.
+    fn hand_over(&mut self, woken: &[AttemptId]) {
+        for id in woken {
+            let w = self.active.get_mut(id).expect("woken attempt is active");
+            let object = w.waiting.take().expect("woken attempt was queued");
+            w.txn.held.push(object);
         }
     }
 
     /// Number of retained committed versions of `object` (diagnostics).
     pub fn version_count(&self, object: Object) -> usize {
-        self.store.version_count(object)
-    }
-
-    /// Total retained committed versions across all objects.
-    pub fn total_versions(&self) -> usize {
-        self.store.total_versions()
+        self.core.version_count(object)
     }
 
     /// Attempts woken by lock releases during aborts, drained by the
@@ -419,7 +251,7 @@ impl Engine {
 
     /// Whether `who` is currently blocked on a lock.
     pub fn is_blocked(&self, who: AttemptId) -> bool {
-        self.locks.waiting(who).is_some()
+        self.active.get(&who).is_some_and(|a| a.waiting.is_some())
     }
 
     /// Number of in-flight attempts (diagnostics).
@@ -431,6 +263,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::Observed;
     use mvmodel::Op;
 
     fn obj(n: u32) -> Object {
@@ -696,7 +529,8 @@ mod tests {
             assert_eq!(e.step(w).0, StepOutcome::Committed);
         }
         // GC ran (commit 64), but the watermark was T1's start.
-        assert!(e.metrics.versions_pruned == 0 || e.version_count(obj(0)) <= 70);
+        assert_eq!(e.metrics.versions_pruned, 0);
+        assert_eq!(e.version_count(obj(0)), 70);
         assert_eq!(e.step(t1).0, StepOutcome::Progress);
         assert_eq!(
             e.trace.last_read_observed().unwrap(),

@@ -20,31 +20,34 @@
 //!   `inConflict`/`outConflict` flag tracking with its false-positive
 //!   aborts.
 //!
-//! The [`driver`] executes a job list over a configurable number of
-//! concurrent sessions with seeded random interleaving and automatic
-//! retry of aborted transactions. The [`trace`] module exports the
-//! committed execution as a fully-validated [`mvmodel::Schedule`], closing
-//! the loop with the formal model: the integration tests assert that
-//! every schedule the simulator emits is *allowed under* the allocation
-//! it ran (Definition 2.4) — and therefore, when the allocation is
-//! robust, serializable.
+//! These semantics live once, in one MVCC core over one version store,
+//! one lock table and one SSI tracker, and two engines drive it:
 //!
-//! The [`par`] module is the multi-core sibling: the same semantics
-//! driven by `SimConfig::threads` OS worker threads over sharded shared
-//! state, with the sequential [`Engine`] retained unchanged as the
-//! semantics oracle. Every parallel run can export a commit-ordered
-//! trace through the same validation pipeline.
+//! - the sequential [`Engine`] is a seeded step interpreter. The
+//!   [`driver`] executes a job list over a configurable number of
+//!   concurrent sessions with seeded random interleaving and automatic
+//!   retry of aborted transactions, so every run replays bit-for-bit
+//!   from its seed;
+//! - the [`par`] module runs `SimConfig::threads` OS worker threads
+//!   through the same core, parking on lock waits and serializing
+//!   commits behind one mutex.
+//!
+//! The [`trace`] module exports the committed execution of either
+//! engine as a fully-validated [`mvmodel::Schedule`], closing the loop
+//! with the formal model: the integration tests assert that every
+//! schedule the simulator emits is *allowed under* the allocation it ran
+//! (Definition 2.4) — and therefore, when the allocation is robust,
+//! serializable.
 
 pub mod config;
 pub mod driver;
 pub mod engine;
-pub mod locks;
 pub mod metrics;
+mod mvcc;
 pub mod par;
 mod plock;
 mod pssi;
 mod pstore;
-pub mod ssi;
 pub mod trace;
 pub mod version;
 

@@ -1,10 +1,8 @@
 //! The parallel MVCC engine: N OS worker threads drive partitions of a
-//! job list to completion against shared state — a stripe-sharded
-//! version store ([`crate::pstore`]), a sharded lock table with global
-//! waits-for deadlock detection ([`crate::plock`]) and a concurrent SSI
-//! tracker ([`crate::pssi`]) — with the same per-transaction semantics
-//! as the sequential [`crate::engine::Engine`], which remains the
-//! unchanged oracle.
+//! job list to completion through the MVCC core ([`crate::mvcc`]) — the
+//! same per-operation semantics the sequential [`crate::engine::Engine`]
+//! steps through, over the same stripe-sharded version store, sharded
+//! lock table and SSI tracker.
 //!
 //! # Correctness protocol
 //!
@@ -20,31 +18,31 @@
 //! - First-committer-wins is pre-checked before locking (cheap early
 //!   abort) and **re-checked after the lock grant while holding the
 //!   object lock** — the authoritative test, since installs require
-//!   that lock. The sequential engine gets this for free from `&mut
-//!   self`; here the re-check closes the pre-check→grant window.
+//!   that lock. A queued request parks in `await_grant` until the FIFO
+//!   handoff; the re-check closes the pre-check→grant window.
 //! - The whole commit sequence (stripe locks → tick → SSI decision →
 //!   install → admit) runs under one commit mutex, so the detectors see
 //!   one-at-a-time commits exactly as the sequential engine presents
 //!   them. The critical section is short (footprint comparison against
-//!   the GC-bounded committed set).
+//!   the GC-bounded committed set). Conservative step (2) is the
+//!   sequential engine's alone: a worker cannot reach into another
+//!   worker's in-flight attempt (see `pssi` for why steps (1)+(3)
+//!   suffice).
 //! - GC watermarks come from a registry of attempt begin ticks: workers
 //!   register the clock value *before* drawing any operation tick (and
 //!   the registry read and clock read are ordered through the registry
-//!   mutex), so a concurrent GC can never prune a version a justs
-//!   started attempt might still read.
+//!   mutex), so a concurrent GC can never prune a version a just-started
+//!   attempt might still read.
 
-use crate::config::{SimConfig, SsiMode};
+use crate::config::SimConfig;
 use crate::driver::{jobs_from_workload, Job};
 use crate::engine::AbortReason;
 use crate::metrics::{level_index, LatencyStats, Metrics};
-use crate::plock::{ParLockOutcome, SharedLockTable};
-use crate::pssi::SharedSsiTracker;
-use crate::pstore::SharedVersionStore;
-use crate::ssi::TxnFootprint;
-use crate::trace::TraceRecorder;
-use crate::version::{AttemptId, Observed, Version};
+use crate::mvcc::{Core, Txn, WriteLock};
+use crate::trace::{Event, TraceRecorder};
+use crate::version::AttemptId;
 use mvisolation::{Allocation, IsolationLevel};
-use mvmodel::{Object, OpKind, TransactionSet};
+use mvmodel::{OpKind, TransactionSet};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
@@ -69,59 +67,12 @@ impl Default for ParOptions {
     }
 }
 
-/// A timestamped event buffered per attempt, replayed globally sorted
-/// into the [`TraceRecorder`] after the run.
-enum PEvent {
-    Read { object: Object, observed: Observed },
-    Write { object: Object },
-    Commit,
-}
-
+/// One attempt's timestamped events, replayed globally sorted into the
+/// [`TraceRecorder`] after the run.
 struct AttemptLog {
     id: AttemptId,
     level: IsolationLevel,
-    committed: bool,
-    events: Vec<(u64, PEvent)>,
-}
-
-/// Worker-local state of one in-flight attempt (the parallel analogue
-/// of the sequential engine's `Active`).
-struct Attempt {
-    id: AttemptId,
-    level: IsolationLevel,
-    start_ts: Option<u64>,
-    reads: Vec<(Object, Observed)>,
-    writes: Vec<Object>,
-    held: Vec<Object>,
-    doomed: bool,
-    /// Program counter of a snapshot-level write already recorded at
-    /// its first (blocked) attempt — cf. `Engine::write`.
-    recorded_pc: Option<usize>,
-    record: bool,
-    events: Vec<(u64, PEvent)>,
-}
-
-impl Attempt {
-    fn new(id: AttemptId, level: IsolationLevel, record: bool) -> Self {
-        Attempt {
-            id,
-            level,
-            start_ts: None,
-            reads: Vec::new(),
-            writes: Vec::new(),
-            held: Vec::new(),
-            doomed: false,
-            recorded_pc: None,
-            record,
-            events: Vec::new(),
-        }
-    }
-
-    fn push_event(&mut self, ts: u64, ev: PEvent) {
-        if self.record {
-            self.events.push((ts, ev));
-        }
-    }
+    events: Vec<(u64, Event)>,
 }
 
 /// Result of a parallel run: aggregated metrics and latencies, the
@@ -157,38 +108,24 @@ struct WorkerOut {
 
 struct ParEngine {
     config: SimConfig,
-    clock: AtomicU64,
-    store: SharedVersionStore,
-    locks: SharedLockTable,
-    ssi: SharedSsiTracker,
-    /// Serializes tick-draw → SSI decision → install → admit.
+    core: Core,
+    /// Serializes commits: tick draw → SSI decision → install → admit.
     commit_lock: Mutex<()>,
     next_attempt: AtomicU64,
     /// Begin-tick registry for the GC watermark: clock value at attempt
     /// begin → number of attempts begun there.
     snaps: Mutex<BTreeMap<u64, u32>>,
-    commits: AtomicU64,
-    versions_pruned: AtomicU64,
 }
 
 impl ParEngine {
     fn new(config: SimConfig) -> Self {
         ParEngine {
+            core: Core::new(config.ssi_mode),
             config,
-            clock: AtomicU64::new(0),
-            store: SharedVersionStore::new(),
-            locks: SharedLockTable::new(),
-            ssi: SharedSsiTracker::new(),
             commit_lock: Mutex::new(()),
             next_attempt: AtomicU64::new(0),
             snaps: Mutex::new(BTreeMap::new()),
-            commits: AtomicU64::new(0),
-            versions_pruned: AtomicU64::new(0),
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Registers an attempt's begin tick so the GC watermark never
@@ -199,7 +136,7 @@ impl ParEngine {
     /// above the watermark. Either way no reachable version is pruned.
     fn register_begin(&self) -> u64 {
         let mut snaps = self.snaps.lock().expect("not poisoned");
-        let at = self.clock.load(Ordering::SeqCst);
+        let at = self.core.now();
         *snaps.entry(at).or_insert(0) += 1;
         at
     }
@@ -214,216 +151,46 @@ impl ParEngine {
         }
     }
 
+    /// The GC watermark: the oldest registered begin, or the clock when
+    /// no attempt is in flight.
+    fn horizon(&self) -> u64 {
+        let snaps = self.snaps.lock().expect("not poisoned");
+        snaps
+            .keys()
+            .next()
+            .copied()
+            .unwrap_or_else(|| self.core.now())
+    }
+
     fn execute(
         &self,
-        a: &mut Attempt,
+        t: &mut Txn,
         ops: &[mvmodel::Op],
         metrics: &mut Metrics,
         jitter: &mut Option<SmallRng>,
     ) -> Result<u64, AbortReason> {
         for (pc, op) in ops.iter().enumerate() {
-            if a.doomed {
+            if t.doomed {
                 return Err(AbortReason::SsiDangerous);
             }
             maybe_yield(jitter);
             match op.kind {
-                OpKind::Read => self.read(a, op.object, metrics),
-                OpKind::Write => self.write(a, pc, op.object, metrics)?,
+                OpKind::Read => self.core.read(t, op.object, metrics),
+                OpKind::Write => {
+                    if self.core.request_write(t, pc, op.object, metrics)? == WriteLock::Queued {
+                        self.core.await_grant(t.id, op.object);
+                    }
+                    self.core.finish_write(t, pc, op.object, metrics)?;
+                }
             }
         }
-        if a.doomed {
+        if t.doomed {
             return Err(AbortReason::SsiDangerous);
         }
         maybe_yield(jitter);
-        self.commit(a, metrics)
-    }
-
-    fn read(&self, a: &mut Attempt, object: Object, metrics: &mut Metrics) {
-        let snapshot = match a.level {
-            IsolationLevel::ReadCommitted => None, // latest committed, now
-            _ => a.start_ts,                       // None on the first op: the
-                                                    // fresh tick becomes the snapshot
-        };
-        let (ts, observed, latest) = self.store.read(object, snapshot, &self.clock);
-        let start = *a.start_ts.get_or_insert(ts);
-        // Conservative SSI read-path rule, as in `Engine::read`: the
-        // observed-over committed SSI writer gains an incoming edge; if
-        // it already has an outgoing one the structure is complete and
-        // the reader is doomed.
-        if self.config.ssi_mode == SsiMode::Conservative
-            && a.level == IsolationLevel::SerializableSnapshotIsolation
-        {
-            if let Observed::Version(latest) = latest {
-                if latest.commit_ts > observed.ts()
-                    && latest.commit_ts > start
-                    && self.ssi.is_committed_ssi(latest.writer)
-                {
-                    self.ssi.record_rw_edge(a.id, latest.writer);
-                    if self.ssi.has_out(latest.writer) {
-                        a.doomed = true;
-                    }
-                }
-            }
-        }
-        a.reads.push((object, observed));
-        metrics.reads += 1;
-        a.push_event(ts, PEvent::Read { object, observed });
-    }
-
-    fn write(
-        &self,
-        a: &mut Attempt,
-        pc: usize,
-        object: Object,
-        metrics: &mut Metrics,
-    ) -> Result<(), AbortReason> {
-        let start = *a
-            .start_ts
-            .get_or_insert_with(|| self.clock.load(Ordering::SeqCst));
-        let snapshot_level = a.level.snapshot_at_start();
-        // Advisory first-committer-wins pre-check: abort before paying
-        // for the lock when a newer version is already visible.
-        if snapshot_level && self.store.committed_after(object, start) {
-            return Err(AbortReason::FirstCommitterWins);
-        }
-        match self.locks.acquire(a.id, object) {
-            ParLockOutcome::Deadlock => return Err(AbortReason::Deadlock),
-            ParLockOutcome::Granted => {}
-            ParLockOutcome::Enqueued => {
-                metrics.blocked_events += 1;
-                // Snapshot transactions record blocked writes at their
-                // first attempt — the faithful formal position; see the
-                // dirty-write argument in `Engine::write`.
-                if snapshot_level && a.recorded_pc != Some(pc) {
-                    a.recorded_pc = Some(pc);
-                    let ts = self.tick();
-                    a.push_event(ts, PEvent::Write { object });
-                }
-                self.locks.await_grant(a.id, object);
-            }
-        }
-        if !a.held.contains(&object) {
-            a.held.push(object);
-        }
-        // Authoritative first-committer-wins re-check *under the held
-        // lock*: a competitor can commit between the pre-check and the
-        // grant, but not while we hold the object lock (installs
-        // require it). Parallel-only requirement.
-        if snapshot_level && self.store.committed_after(object, start) {
-            return Err(AbortReason::FirstCommitterWins);
-        }
-        if a.recorded_pc == Some(pc) {
-            a.recorded_pc = None;
-        } else {
-            let ts = self.tick();
-            a.push_event(ts, PEvent::Write { object });
-        }
-        if !a.writes.contains(&object) {
-            a.writes.push(object);
-        }
-        metrics.writes += 1;
-        Ok(())
-    }
-
-    fn commit(&self, a: &mut Attempt, metrics: &mut Metrics) -> Result<u64, AbortReason> {
-        let commit_guard = self.commit_lock.lock().expect("not poisoned");
-        let mut guards = self.store.lock_for_commit(&a.writes);
-        let commit_ts = self.tick();
-        let start_ts = a.start_ts.unwrap_or(commit_ts - 1);
-        let footprint = TxnFootprint {
-            attempt: a.id,
-            ssi: a.level == IsolationLevel::SerializableSnapshotIsolation,
-            start_ts,
-            commit_ts,
-            reads: a.reads.iter().map(|&(o, obs)| (o, obs.ts())).collect(),
-            writes: a.writes.iter().map(|&o| (o, commit_ts)).collect(),
-        };
-        let dangerous = match self.config.ssi_mode {
-            SsiMode::Exact => self.ssi.exact_check(&footprint),
-            SsiMode::Conservative => footprint.ssi && self.conservative_commit_check(&footprint),
-        };
-        if dangerous {
-            drop(guards);
-            drop(commit_guard);
-            return Err(AbortReason::SsiDangerous);
-        }
-        for &object in &a.writes {
-            #[cfg(debug_assertions)]
-            debug_assert!(self.locks.holds(a.id, object));
-            guards.install(
-                object,
-                Version {
-                    commit_ts,
-                    writer: a.id,
-                },
-            );
-        }
-        drop(guards);
-        self.ssi.admit(footprint);
-        self.locks.release_all(a.id, &a.held);
-        metrics.record_commit(a.level);
-        a.push_event(commit_ts, PEvent::Commit);
-        self.maybe_gc();
-        drop(commit_guard);
+        let _commit = self.commit_lock.lock().expect("not poisoned");
+        let (commit_ts, _) = self.core.commit(t, &[], metrics, || self.horizon())?;
         Ok(commit_ts)
-    }
-
-    /// Steps (1) and (3) of the sequential conservative protocol (see
-    /// `Engine::conservative_commit_check` and the safety argument in
-    /// `crate::pssi`): edges with committed concurrent SSI footprints,
-    /// doom on a flagged pivot, then the own-flags test. Flag reads for
-    /// the doom decision happen before this commit's edges are applied,
-    /// matching the sequential order exactly.
-    fn conservative_commit_check(&self, t: &TxnFootprint) -> bool {
-        let who = t.attempt;
-        let mut edges: Vec<(AttemptId, AttemptId)> = Vec::new();
-        let mut doom_self = false;
-        self.ssi.with_committed(|committed| {
-            for f in committed {
-                if !f.ssi || !f.concurrent(t) {
-                    continue;
-                }
-                if t.rw_antidep_to(f) {
-                    edges.push((who, f.attempt));
-                    if self.ssi.has_out(f.attempt) {
-                        doom_self = true;
-                    }
-                }
-                if f.rw_antidep_to(t) {
-                    edges.push((f.attempt, who));
-                    if self.ssi.has_in(f.attempt) {
-                        doom_self = true;
-                    }
-                }
-            }
-        });
-        for (from, to) in edges {
-            self.ssi.record_rw_edge(from, to);
-        }
-        doom_self || self.ssi.conservative_flags(who)
-    }
-
-    fn maybe_gc(&self) {
-        let commits = self.commits.fetch_add(1, Ordering::SeqCst) + 1;
-        if !commits.is_multiple_of(64) {
-            return;
-        }
-        let horizon = {
-            let snaps = self.snaps.lock().expect("not poisoned");
-            snaps
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or_else(|| self.clock.load(Ordering::SeqCst))
-        };
-        self.ssi.gc(horizon);
-        self.versions_pruned
-            .fetch_add(self.store.gc(horizon), Ordering::SeqCst);
-    }
-
-    fn abort_attempt(&self, a: &Attempt) {
-        self.ssi.forget(a.id);
-        self.locks.release_all(a.id, &a.held);
     }
 
     /// One worker: drives jobs `w, w+stride, w+2·stride, …` to
@@ -445,41 +212,33 @@ impl ParEngine {
         let mut job_idx = w;
         while job_idx < jobs.len() {
             let job = &jobs[job_idx];
-            let first_begin = self.clock.load(Ordering::SeqCst);
+            let first_begin = self.core.now();
             let mut retries = 0u32;
             loop {
                 let id = AttemptId(self.next_attempt.fetch_add(1, Ordering::SeqCst) + 1);
                 let begin = self.register_begin();
-                let mut a = Attempt::new(id, job.level, self.config.record_trace);
-                let result = self.execute(&mut a, &job.ops, &mut out.metrics, &mut jitter);
+                let mut t = Txn::new(id, job.level, self.config.record_trace);
+                let result = self.execute(&mut t, &job.ops, &mut out.metrics, &mut jitter);
+                if result.is_err() {
+                    self.core.abort(&t);
+                }
+                self.unregister_begin(begin);
+                if self.config.record_trace {
+                    out.logs.push(AttemptLog {
+                        id,
+                        level: job.level,
+                        events: t.events,
+                    });
+                }
                 match result {
                     Ok(ct) => {
-                        self.unregister_begin(begin);
                         let ticks = ct.saturating_sub(first_begin);
                         out.latency.record(ticks);
                         out.latency_by_level[level_index(job.level)].record(ticks);
-                        if self.config.record_trace {
-                            out.logs.push(AttemptLog {
-                                id,
-                                level: job.level,
-                                committed: true,
-                                events: a.events,
-                            });
-                        }
                         break;
                     }
                     Err(reason) => {
-                        self.abort_attempt(&a);
-                        self.unregister_begin(begin);
                         out.metrics.record_abort(reason, job.level);
-                        if self.config.record_trace {
-                            out.logs.push(AttemptLog {
-                                id,
-                                level: job.level,
-                                committed: false,
-                                events: a.events,
-                            });
-                        }
                         if self.config.max_retries.is_some_and(|m| retries >= m) {
                             out.metrics.gave_up += 1;
                             break;
@@ -544,33 +303,25 @@ pub fn run_parallel_jobs_with(jobs: &[Job], config: SimConfig, opts: ParOptions)
             mine.merge(theirs);
         }
     }
-    metrics.ticks = engine.clock.load(Ordering::SeqCst);
-    metrics.versions_pruned = engine.versions_pruned.load(Ordering::SeqCst);
+    metrics.ticks = engine.core.now();
 
     // Replay the per-attempt event buffers, globally sorted by tick,
     // into a TraceRecorder — the tick order is the publication order
     // (see `pstore`), so this is the linearization the store served.
     let mut trace = TraceRecorder::new(config.record_trace);
     if config.record_trace {
-        let mut all: Vec<(u64, AttemptId, PEvent)> = Vec::new();
+        let mut all: Vec<(u64, AttemptId, Event)> = Vec::new();
         for out in &mut outs {
             for log in out.logs.drain(..) {
                 trace.record_level(log.id, log.level);
-                if !log.committed {
-                    trace.record_abort(log.id);
-                }
                 for (ts, ev) in log.events {
                     all.push((ts, log.id, ev));
                 }
             }
         }
         all.sort_by_key(|&(ts, _, _)| ts);
-        for (ts, who, ev) in all {
-            match ev {
-                PEvent::Read { object, observed } => trace.record_read(who, object, observed, ts),
-                PEvent::Write { object } => trace.record_write(who, object, ts),
-                PEvent::Commit => trace.record_commit(who, ts),
-            }
+        for (_, who, ev) in all {
+            trace.record(who, ev);
         }
     }
 

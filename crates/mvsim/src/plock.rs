@@ -1,5 +1,5 @@
 //! Sharded exclusive lock table with cross-shard waits-for deadlock
-//! detection, for the parallel engine.
+//! detection, shared by both engines through [`crate::mvcc`].
 //!
 //! Lock state lives in shards (mutex + condvar per shard) so disjoint
 //! partitions never contend, but the waits-for graph is global: a cycle
@@ -10,11 +10,16 @@
 //! out the race where two attempts concurrently block on each other and
 //! neither sees the half-formed cycle.
 //!
-//! Victim policy matches the sequential [`crate::locks::LockTable`]:
-//! *die-self* — the requester whose enqueue would close a cycle is
-//! denied and aborts itself. Waiting attempts are never aborted from
-//! outside, so a parked worker only ever needs the condvar signal from
-//! the handoff that grants it the lock.
+//! A request never blocks: a queued requester either parks in
+//! [`SharedLockTable::await_grant`] (the parallel engine) or is reported
+//! blocked until the release that hands it the lock (the sequential step
+//! interpreter, which learns whom to wake from
+//! [`SharedLockTable::release_all`]).
+//!
+//! Victim policy is *die-self*: the requester whose enqueue would close
+//! a cycle is denied and aborts itself. Waiting attempts are never
+//! aborted from outside, so a waiter only ever needs the handoff that
+//! grants it the lock.
 
 use crate::version::AttemptId;
 use mvmodel::Object;
@@ -29,13 +34,12 @@ fn shard_of(object: Object) -> usize {
     ((object.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize % SHARDS
 }
 
-/// Outcome of a parallel lock request.
+/// Outcome of a lock request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ParLockOutcome {
+pub(crate) enum LockOutcome {
     /// Lock acquired (or already held by the requester).
     Granted,
-    /// Enqueued behind the holder; the caller must block in
-    /// [`SharedLockTable::await_grant`] until the handoff.
+    /// Enqueued behind the holder until a release hands the lock over.
     Enqueued,
     /// Enqueueing would close a waits-for cycle; the requester aborts.
     Deadlock,
@@ -103,11 +107,11 @@ impl SharedLockTable {
     }
 
     /// Requests the exclusive lock on `object` for `who`. Never blocks:
-    /// on [`ParLockOutcome::Enqueued`] the caller parks in
-    /// [`SharedLockTable::await_grant`]. The cycle test and the enqueue
-    /// are atomic under the graph mutex, so concurrent blockers cannot
-    /// slip an undetected cycle past each other.
-    pub fn acquire(&self, who: AttemptId, object: Object) -> ParLockOutcome {
+    /// on [`LockOutcome::Enqueued`] the caller waits for the handoff. The
+    /// cycle test and the enqueue are atomic under the graph mutex, so
+    /// concurrent blockers cannot slip an undetected cycle past each
+    /// other.
+    pub fn acquire(&self, who: AttemptId, object: Object) -> LockOutcome {
         let (shard, _) = &self.shards[shard_of(object)];
         let mut s = shard.lock().expect("not poisoned");
         let state = s.locks.entry(object).or_default();
@@ -119,26 +123,26 @@ impl SharedLockTable {
                     .expect("not poisoned")
                     .holder
                     .insert(object, who);
-                ParLockOutcome::Granted
+                LockOutcome::Granted
             }
-            Some(h) if h == who => ParLockOutcome::Granted,
+            Some(h) if h == who => LockOutcome::Granted,
             Some(h) => {
                 let mut g = self.graph.lock().expect("not poisoned");
                 if g.path_to(h, who) {
-                    return ParLockOutcome::Deadlock;
+                    return LockOutcome::Deadlock;
                 }
                 g.waiting_on.insert(who, object);
                 drop(g);
                 if !state.waiters.contains(&who) {
                     state.waiters.push_back(who);
                 }
-                ParLockOutcome::Enqueued
+                LockOutcome::Enqueued
             }
         }
     }
 
     /// Parks until the FIFO handoff makes `who` the holder of `object`.
-    /// Must only be called right after [`ParLockOutcome::Enqueued`].
+    /// Must only be called right after [`LockOutcome::Enqueued`].
     pub fn await_grant(&self, who: AttemptId, object: Object) {
         let (shard, cv) = &self.shards[shard_of(object)];
         let mut s = shard.lock().expect("not poisoned");
@@ -149,9 +153,10 @@ impl SharedLockTable {
 
     /// Releases every lock in `held` (commit or abort), handing each to
     /// its first waiter (FIFO) and signalling that shard. `held` is the
-    /// caller's thread-local held list — the parallel analogue of the
-    /// sequential table's `held` map.
-    pub fn release_all(&self, who: AttemptId, held: &[Object]) {
+    /// attempt's own list of granted locks. Returns the attempts handed a
+    /// lock, in `held` order.
+    pub fn release_all(&self, who: AttemptId, held: &[Object]) -> Vec<AttemptId> {
+        let mut woken = Vec::new();
         for &object in held {
             let (shard, cv) = &self.shards[shard_of(object)];
             let mut s = shard.lock().expect("not poisoned");
@@ -163,6 +168,7 @@ impl SharedLockTable {
                     state.holder = Some(next);
                     g.holder.insert(object, next);
                     g.waiting_on.remove(&next);
+                    woken.push(next);
                 }
                 None => {
                     state.holder = None;
@@ -173,6 +179,7 @@ impl SharedLockTable {
             drop(s);
             cv.notify_all();
         }
+        woken
     }
 
     /// Whether `who` currently holds the lock on `object` (debug
@@ -204,14 +211,14 @@ mod tests {
     #[test]
     fn grant_enqueue_handoff() {
         let lt = SharedLockTable::new();
-        assert_eq!(lt.acquire(a(1), o(9)), ParLockOutcome::Granted);
-        assert_eq!(lt.acquire(a(1), o(9)), ParLockOutcome::Granted);
-        assert_eq!(lt.acquire(a(2), o(9)), ParLockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(1), o(9)), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(1), o(9)), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(2), o(9)), LockOutcome::Enqueued);
         // Handoff: releasing hands the lock to the first waiter, and a
         // parked thread observes the grant.
         std::thread::scope(|sc| {
             let waiter = sc.spawn(|| lt.await_grant(a(2), o(9)));
-            lt.release_all(a(1), &[o(9)]);
+            assert_eq!(lt.release_all(a(1), &[o(9)]), vec![a(2)]);
             waiter.join().expect("waiter woke");
         });
         #[cfg(debug_assertions)]
@@ -224,18 +231,18 @@ mod tests {
         // Objects chosen so the chain spans multiple shards.
         let (x, y, z) = (o(0), o(1), o(2));
         assert!(shard_of(x) != shard_of(y) || shard_of(y) != shard_of(z));
-        assert_eq!(lt.acquire(a(1), x), ParLockOutcome::Granted);
-        assert_eq!(lt.acquire(a(2), y), ParLockOutcome::Granted);
-        assert_eq!(lt.acquire(a(3), z), ParLockOutcome::Granted);
-        assert_eq!(lt.acquire(a(1), y), ParLockOutcome::Enqueued);
-        assert_eq!(lt.acquire(a(2), z), ParLockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(1), x), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(2), y), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(3), z), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(1), y), LockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(2), z), LockOutcome::Enqueued);
         // a3 requesting x closes the 3-cycle through three shards.
-        assert_eq!(lt.acquire(a(3), x), ParLockOutcome::Deadlock);
+        assert_eq!(lt.acquire(a(3), x), LockOutcome::Deadlock);
         // The victim was never enqueued: releasing its own lock hands z
         // to a2, unwinding the chain.
-        lt.release_all(a(3), &[z]);
-        lt.release_all(a(2), &[y, z]);
-        lt.release_all(a(1), &[x, y]);
+        assert_eq!(lt.release_all(a(3), &[z]), vec![a(2)]);
+        assert_eq!(lt.release_all(a(2), &[y, z]), vec![a(1)]);
+        assert!(lt.release_all(a(1), &[x, y]).is_empty());
     }
 
     #[test]
@@ -244,12 +251,12 @@ mod tests {
         // independent of attempt id order.
         for &(first, second) in &[(1u64, 2u64), (2, 1)] {
             let lt = SharedLockTable::new();
-            assert_eq!(lt.acquire(a(first), o(1)), ParLockOutcome::Granted);
-            assert_eq!(lt.acquire(a(second), o(2)), ParLockOutcome::Granted);
-            assert_eq!(lt.acquire(a(first), o(2)), ParLockOutcome::Enqueued);
+            assert_eq!(lt.acquire(a(first), o(1)), LockOutcome::Granted);
+            assert_eq!(lt.acquire(a(second), o(2)), LockOutcome::Granted);
+            assert_eq!(lt.acquire(a(first), o(2)), LockOutcome::Enqueued);
             assert_eq!(
                 lt.acquire(a(second), o(1)),
-                ParLockOutcome::Deadlock,
+                LockOutcome::Deadlock,
                 "the closer dies, whichever id it has"
             );
         }
@@ -258,14 +265,38 @@ mod tests {
     #[test]
     fn handoff_clears_wait_edge_before_requeue() {
         let lt = SharedLockTable::new();
-        assert_eq!(lt.acquire(a(1), o(1)), ParLockOutcome::Granted);
-        assert_eq!(lt.acquire(a(2), o(1)), ParLockOutcome::Enqueued);
-        assert_eq!(lt.acquire(a(3), o(2)), ParLockOutcome::Granted);
+        assert_eq!(lt.acquire(a(1), o(1)), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(2), o(1)), LockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(3), o(2)), LockOutcome::Granted);
         lt.release_all(a(1), &[o(1)]);
         // a2 now holds o(1); its old wait edge must be gone, so a fresh
         // enqueue on another object is not misread as a cycle.
-        assert_eq!(lt.acquire(a(2), o(2)), ParLockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(2), o(2)), LockOutcome::Enqueued);
         // And a3 → o(1) now waits on a2: a genuine 2-cycle, detected.
-        assert_eq!(lt.acquire(a(3), o(1)), ParLockOutcome::Deadlock);
+        assert_eq!(lt.acquire(a(3), o(1)), LockOutcome::Deadlock);
+    }
+
+    #[test]
+    fn fifo_wakeup() {
+        let lt = SharedLockTable::new();
+        assert_eq!(lt.acquire(a(1), o(1)), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(2), o(1)), LockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(3), o(1)), LockOutcome::Enqueued);
+        assert_eq!(lt.release_all(a(1), &[o(1)]), vec![a(2)]);
+        assert_eq!(lt.release_all(a(2), &[o(1)]), vec![a(3)]);
+        assert!(lt.release_all(a(3), &[o(1)]).is_empty(), "no waiters left");
+    }
+
+    #[test]
+    fn multiple_locks_released_together() {
+        let lt = SharedLockTable::new();
+        assert_eq!(lt.acquire(a(1), o(1)), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(1), o(2)), LockOutcome::Granted);
+        assert_eq!(lt.acquire(a(2), o(1)), LockOutcome::Enqueued);
+        assert_eq!(lt.acquire(a(3), o(2)), LockOutcome::Enqueued);
+        // Handoffs come back in the releaser's grant order.
+        assert_eq!(lt.release_all(a(1), &[o(1), o(2)]), vec![a(2), a(3)]);
+        #[cfg(debug_assertions)]
+        assert!(lt.holds(a(2), o(1)) && lt.holds(a(3), o(2)));
     }
 }

@@ -1,4 +1,5 @@
-//! Stripe-sharded shared version store for the parallel engine.
+//! The stripe-sharded version store both engines read and install into
+//! through [`crate::mvcc`].
 //!
 //! Publication order is the correctness crux of the whole parallel
 //! design, so it is pinned here, at the storage layer:
@@ -17,7 +18,8 @@
 //! Sorting the per-attempt event buffers by tick therefore yields a
 //! linearization in which every read/commit pair is ordered the same
 //! way the store actually served them — which is why the exported
-//! trace passes the `allowed_under` oracle (see `crate::par`).
+//! trace of a parallel run passes the `allowed_under` oracle (see
+//! `crate::par`).
 
 use crate::version::{Observed, Version};
 use mvmodel::Object;
@@ -38,8 +40,9 @@ fn stripe_of(object: Object) -> usize {
     ((object.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize % STRIPES
 }
 
-/// Committed versions per object, sharded into independently locked
-/// stripes. Shared by all workers of a [`crate::par`] run.
+/// Committed versions per object, each chain ascending by commit
+/// timestamp, sharded into independently locked stripes. The initial
+/// version `op₀` (timestamp 0) is implicit.
 pub(crate) struct SharedVersionStore {
     stripes: Vec<RwLock<Chains>>,
 }
@@ -115,9 +118,12 @@ impl SharedVersionStore {
         }
     }
 
-    /// Prunes versions below the watermark, one stripe at a time —
-    /// same keep rule as [`crate::version::VersionStore::gc`]. Returns
-    /// the number pruned.
+    /// Prunes versions no snapshot at or above `watermark` can observe,
+    /// one stripe at a time: per object, keeps the newest version with
+    /// `commit_ts <= watermark` — the version a reader pinned exactly at
+    /// the watermark observes — plus every newer one, so the latest
+    /// version (and with it first-committer-wins) always survives.
+    /// Returns the number pruned.
     pub fn gc(&self, watermark: u64) -> u64 {
         let mut pruned = 0u64;
         for stripe in &self.stripes {
@@ -134,7 +140,6 @@ impl SharedVersionStore {
     }
 
     /// Number of retained committed versions of `object` (diagnostics).
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn version_count(&self, object: Object) -> usize {
         self.stripes[stripe_of(object)]
             .read()
@@ -176,6 +181,22 @@ mod tests {
         Object(n)
     }
 
+    /// Commits one version of `object` at tick `ct`, drawn under the
+    /// stripe guard the way a commit draws it.
+    fn install(store: &SharedVersionStore, clock: &AtomicU64, object: Object, ct: u64) {
+        clock.store(ct - 1, Ordering::SeqCst);
+        let mut g = store.lock_for_commit(&[object]);
+        let drawn = clock.fetch_add(1, Ordering::SeqCst) + 1;
+        assert_eq!(drawn, ct);
+        g.install(
+            object,
+            Version {
+                commit_ts: ct,
+                writer: AttemptId(ct),
+            },
+        );
+    }
+
     #[test]
     fn read_ticks_are_drawn_inside_the_critical_section() {
         let store = SharedVersionStore::new();
@@ -183,9 +204,11 @@ mod tests {
         let (t1, obs, latest) = store.read(obj(1), None, &clock);
         assert_eq!(t1, 1);
         assert_eq!(obs, Observed::Initial);
+        assert_eq!(obs.ts(), 0);
         assert_eq!(latest, Observed::Initial);
         let (t2, _, _) = store.read(obj(1), None, &clock);
         assert_eq!(t2, 2, "ticks are unique and monotone");
+        assert_eq!(store.version_count(obj(1)), 0);
     }
 
     #[test]
@@ -212,31 +235,53 @@ mod tests {
         // A snapshot below the commit still reads the initial version.
         let (_, old, _) = store.read(obj(2), Some(ct - 1), &clock);
         assert_eq!(old, Observed::Initial);
-        assert!(store.committed_after(obj(2), 0));
-        assert!(!store.committed_after(obj(2), ct));
+        assert_eq!(old.writer(), None);
     }
 
     #[test]
-    fn gc_matches_sequential_keep_rule() {
+    fn committed_after_detects_concurrent_committers() {
+        let store = SharedVersionStore::new();
+        let clock = AtomicU64::new(0);
+        assert!(!store.committed_after(obj(1), 3));
+        install(&store, &clock, obj(1), 5);
+        assert!(store.committed_after(obj(1), 3));
+        assert!(!store.committed_after(obj(1), 5));
+    }
+
+    #[test]
+    fn gc_keeps_the_reader_at_watermark_boundary_version() {
         let store = SharedVersionStore::new();
         let clock = AtomicU64::new(0);
         for ct in [3u64, 5, 9] {
-            clock.store(ct - 1, Ordering::SeqCst);
-            let mut g = store.lock_for_commit(&[obj(7)]);
-            let drawn = clock.fetch_add(1, Ordering::SeqCst) + 1;
-            assert_eq!(drawn, ct);
-            g.install(
-                obj(7),
-                Version {
-                    commit_ts: ct,
-                    writer: AttemptId(ct),
-                },
-            );
+            install(&store, &clock, obj(7), ct);
         }
+        // A reader pinned at snapshot 7 observes ct=5; pruning must keep
+        // it even though 5 < 7.
         assert_eq!(store.gc(7), 1, "ct=3 is below the boundary version");
         assert_eq!(store.version_count(obj(7)), 2);
-        let (_, at_watermark, _) = store.read(obj(7), Some(7), &clock);
-        assert_eq!(at_watermark.ts(), 5, "boundary version survives");
+        for (snapshot, seen) in [(7, 5), (8, 5), (9, 9)] {
+            let (_, observed, _) = store.read(obj(7), Some(snapshot), &clock);
+            assert_eq!(observed.ts(), seen, "snapshot {snapshot}");
+        }
+        // Watermark exactly on a version: that version survives, older
+        // ones go; a watermark below every version prunes nothing.
+        assert_eq!(store.gc(9), 1);
+        assert_eq!(store.read(obj(7), Some(9), &clock).1.ts(), 9);
+        assert_eq!(store.gc(0), 0);
+        assert_eq!(store.version_count(obj(7)), 1);
+    }
+
+    #[test]
+    fn gc_preserves_committed_after_semantics() {
+        let store = SharedVersionStore::new();
+        let clock = AtomicU64::new(0);
+        install(&store, &clock, obj(2), 4);
+        install(&store, &clock, obj(2), 10);
+        store.gc(10);
+        // The first-committer-wins test only consults the latest
+        // version, which GC never drops.
+        assert!(store.committed_after(obj(2), 4));
+        assert!(!store.committed_after(obj(2), 10));
     }
 
     #[test]

@@ -15,30 +15,21 @@ use mvisolation::{Allocation, IsolationLevel};
 use mvmodel::{Object, OpAddr, OpId, Schedule, ScheduleError, TxnId, TxnSetBuilder};
 use std::collections::HashMap;
 
+/// One recorded operation of an attempt.
 #[derive(Clone, Copy, Debug)]
-enum Event {
-    Read {
-        who: AttemptId,
-        object: Object,
-        observed: Observed,
-    },
-    Write {
-        who: AttemptId,
-        object: Object,
-    },
-    Commit {
-        who: AttemptId,
-    },
+pub(crate) enum Event {
+    Read { object: Object, observed: Observed },
+    Write { object: Object },
+    Commit,
 }
 
 /// In-memory event log (enabled via `SimConfig::record_trace`).
 #[derive(Debug)]
 pub struct TraceRecorder {
     enabled: bool,
-    events: Vec<Event>,
+    events: Vec<(AttemptId, Event)>,
     levels: HashMap<AttemptId, IsolationLevel>,
     committed: Vec<AttemptId>,
-    aborted: Vec<AttemptId>,
     last_read: Option<Observed>,
     /// Display names for objects (index = object id), forwarded from the
     /// source workload so exported schedules render readably.
@@ -60,7 +51,6 @@ impl TraceRecorder {
             events: Vec::new(),
             levels: HashMap::new(),
             committed: Vec::new(),
-            aborted: Vec::new(),
             last_read: None,
             object_names: Vec::new(),
         }
@@ -78,39 +68,16 @@ impl TraceRecorder {
         }
     }
 
-    pub(crate) fn record_read(
-        &mut self,
-        who: AttemptId,
-        object: Object,
-        observed: Observed,
-        _ts: u64,
-    ) {
-        self.last_read = Some(observed);
-        if self.enabled {
-            self.events.push(Event::Read {
-                who,
-                object,
-                observed,
-            });
+    /// Appends `who`'s next operation to the global order.
+    pub(crate) fn record(&mut self, who: AttemptId, ev: Event) {
+        if let Event::Read { observed, .. } = ev {
+            self.last_read = Some(observed);
         }
-    }
-
-    pub(crate) fn record_write(&mut self, who: AttemptId, object: Object, _ts: u64) {
         if self.enabled {
-            self.events.push(Event::Write { who, object });
-        }
-    }
-
-    pub(crate) fn record_commit(&mut self, who: AttemptId, _ts: u64) {
-        if self.enabled {
-            self.events.push(Event::Commit { who });
-            self.committed.push(who);
-        }
-    }
-
-    pub(crate) fn record_abort(&mut self, who: AttemptId) {
-        if self.enabled {
-            self.aborted.push(who);
+            if let Event::Commit = ev {
+                self.committed.push(who);
+            }
+            self.events.push((who, ev));
         }
     }
 
@@ -146,10 +113,7 @@ impl TraceRecorder {
             self.committed.iter().copied().collect();
         let mut ids: HashMap<AttemptId, TxnId> = HashMap::new();
         let mut next = 0u32;
-        for ev in &self.events {
-            let who = match ev {
-                Event::Read { who, .. } | Event::Write { who, .. } | Event::Commit { who } => *who,
-            };
+        for &(who, _) in &self.events {
             if committed.contains(&who) && !ids.contains_key(&who) {
                 next += 1;
                 ids.insert(who, TxnId(next));
@@ -167,13 +131,9 @@ impl TraceRecorder {
         let mut reads_raw: Vec<(OpAddr, Observed, Object)> = Vec::new();
         let mut commit_order: Vec<AttemptId> = Vec::new();
 
-        for ev in &self.events {
-            match *ev {
-                Event::Read {
-                    who,
-                    object,
-                    observed,
-                } => {
+        for &(who, ev) in &self.events {
+            match ev {
+                Event::Read { object, observed } => {
                     if let Some(&tid) = ids.get(&who) {
                         let idx = op_index.entry(who).or_insert(0);
                         programs
@@ -185,7 +145,7 @@ impl TraceRecorder {
                         *idx += 1;
                     }
                 }
-                Event::Write { who, object } => {
+                Event::Write { object } => {
                     if let Some(&tid) = ids.get(&who) {
                         let idx = op_index.entry(who).or_insert(0);
                         programs
@@ -197,7 +157,7 @@ impl TraceRecorder {
                         *idx += 1;
                     }
                 }
-                Event::Commit { who } => {
+                Event::Commit => {
                     if let Some(&tid) = ids.get(&who) {
                         order.push(OpId::Commit(tid));
                         commit_order.push(who);

@@ -1,8 +1,5 @@
-//! The multiversion store: committed versions per object, ordered by
-//! commit timestamp.
-
-use mvmodel::Object;
-use std::collections::HashMap;
+//! Attempt identifiers and the versions reads observe. The store that
+//! holds the versions is `pstore`.
 
 /// Identifier of one execution attempt of a job (retries get fresh ids).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -40,196 +37,5 @@ impl Observed {
             Observed::Initial => None,
             Observed::Version(v) => Some(v.writer),
         }
-    }
-}
-
-/// Committed versions per object, each list ascending by commit
-/// timestamp. The initial version `op₀` (timestamp 0) is implicit.
-#[derive(Debug, Default)]
-pub struct VersionStore {
-    versions: HashMap<Object, Vec<Version>>,
-}
-
-impl VersionStore {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The latest version with `commit_ts <= snapshot`, or the initial
-    /// version.
-    pub fn read(&self, object: Object, snapshot: u64) -> Observed {
-        match self.versions.get(&object) {
-            None => Observed::Initial,
-            Some(vs) => {
-                let idx = vs.partition_point(|v| v.commit_ts <= snapshot);
-                if idx == 0 {
-                    Observed::Initial
-                } else {
-                    Observed::Version(vs[idx - 1])
-                }
-            }
-        }
-    }
-
-    /// The newest committed version regardless of snapshot.
-    pub fn latest(&self, object: Object) -> Observed {
-        self.read(object, u64::MAX)
-    }
-
-    /// Whether any version of `object` committed after `ts` — the
-    /// first-committer-wins test for snapshot transactions.
-    pub fn committed_after(&self, object: Object, ts: u64) -> bool {
-        self.latest(object).ts() > ts
-    }
-
-    /// Installs a version. `commit_ts` must exceed all existing
-    /// timestamps for the object (the engine's clock is monotone).
-    pub fn install(&mut self, object: Object, version: Version) {
-        let vs = self.versions.entry(object).or_default();
-        debug_assert!(vs.last().is_none_or(|v| v.commit_ts < version.commit_ts));
-        vs.push(version);
-    }
-
-    /// Number of committed versions of `object` (excluding `op₀`).
-    pub fn version_count(&self, object: Object) -> usize {
-        self.versions.get(&object).map_or(0, |v| v.len())
-    }
-
-    /// Total committed versions across all objects (excluding `op₀`).
-    pub fn total_versions(&self) -> usize {
-        self.versions.values().map(|v| v.len()).sum()
-    }
-
-    /// Prunes versions no snapshot at or above `watermark` can observe:
-    /// per object, keeps the newest version with `commit_ts <=
-    /// watermark` — the version a reader pinned exactly at the watermark
-    /// observes — plus every newer one. Callers pass the minimum start
-    /// timestamp of any active transaction (or the clock when idle), so
-    /// `latest`/`committed_after` and all reachable reads are preserved.
-    /// Returns the number of versions pruned.
-    pub fn gc(&mut self, watermark: u64) -> u64 {
-        let mut pruned = 0u64;
-        for vs in self.versions.values_mut() {
-            let cut = vs.partition_point(|v| v.commit_ts <= watermark);
-            if cut > 1 {
-                pruned += cut as u64 - 1;
-                vs.drain(..cut - 1);
-            }
-        }
-        pruned
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn obj(n: u32) -> Object {
-        Object(n)
-    }
-
-    #[test]
-    fn reads_initial_when_empty() {
-        let store = VersionStore::new();
-        assert_eq!(store.read(obj(1), 100), Observed::Initial);
-        assert_eq!(store.read(obj(1), 100).ts(), 0);
-        assert_eq!(store.read(obj(1), 100).writer(), None);
-        assert_eq!(store.version_count(obj(1)), 0);
-    }
-
-    #[test]
-    fn snapshot_reads_pick_correct_version() {
-        let mut store = VersionStore::new();
-        store.install(
-            obj(1),
-            Version {
-                commit_ts: 5,
-                writer: AttemptId(1),
-            },
-        );
-        store.install(
-            obj(1),
-            Version {
-                commit_ts: 9,
-                writer: AttemptId(2),
-            },
-        );
-        assert_eq!(store.read(obj(1), 4), Observed::Initial);
-        assert_eq!(store.read(obj(1), 5).ts(), 5);
-        assert_eq!(store.read(obj(1), 8).ts(), 5);
-        assert_eq!(store.read(obj(1), 9).ts(), 9);
-        assert_eq!(store.latest(obj(1)).writer(), Some(AttemptId(2)));
-        assert_eq!(store.version_count(obj(1)), 2);
-    }
-
-    #[test]
-    fn gc_keeps_the_reader_at_watermark_boundary_version() {
-        let mut store = VersionStore::new();
-        for (ct, w) in [(3, 1), (5, 2), (9, 3)] {
-            store.install(
-                obj(1),
-                Version {
-                    commit_ts: ct,
-                    writer: AttemptId(w),
-                },
-            );
-        }
-        // A reader pinned at snapshot 7 observes ct=5; pruning must keep
-        // it even though 5 < 7.
-        assert_eq!(store.gc(7), 1, "only ct=3 is unreachable");
-        assert_eq!(store.read(obj(1), 7).ts(), 5);
-        assert_eq!(store.read(obj(1), 8).ts(), 5);
-        assert_eq!(store.read(obj(1), 9).ts(), 9);
-        assert_eq!(store.latest(obj(1)).ts(), 9);
-        assert_eq!(store.version_count(obj(1)), 2);
-        // Watermark exactly on a version: that version survives, older
-        // ones go.
-        assert_eq!(store.gc(9), 1);
-        assert_eq!(store.read(obj(1), 9).ts(), 9);
-        assert_eq!(store.read(obj(1), 1000).ts(), 9);
-        assert_eq!(store.version_count(obj(1)), 1);
-        // Watermark below every version prunes nothing.
-        assert_eq!(store.gc(0), 0);
-        assert_eq!(store.version_count(obj(1)), 1);
-        assert_eq!(store.total_versions(), 1);
-    }
-
-    #[test]
-    fn gc_preserves_committed_after_semantics() {
-        let mut store = VersionStore::new();
-        store.install(
-            obj(2),
-            Version {
-                commit_ts: 4,
-                writer: AttemptId(1),
-            },
-        );
-        store.install(
-            obj(2),
-            Version {
-                commit_ts: 10,
-                writer: AttemptId(2),
-            },
-        );
-        store.gc(10);
-        // The first-committer-wins test only consults `latest`, which GC
-        // never drops.
-        assert!(store.committed_after(obj(2), 4));
-        assert!(!store.committed_after(obj(2), 10));
-    }
-
-    #[test]
-    fn committed_after_detects_concurrent_committers() {
-        let mut store = VersionStore::new();
-        assert!(!store.committed_after(obj(1), 3));
-        store.install(
-            obj(1),
-            Version {
-                commit_ts: 5,
-                writer: AttemptId(1),
-            },
-        );
-        assert!(store.committed_after(obj(1), 3));
-        assert!(!store.committed_after(obj(1), 5));
     }
 }
