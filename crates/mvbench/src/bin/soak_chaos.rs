@@ -18,6 +18,7 @@
 //! row *is* the certificate). Fully deterministic per `--seed` up to
 //! scheduler timing; latencies are wall-clock, the schedule is not.
 
+use mvbench::Sweep;
 use mvisolation::{Allocation, IsolationLevel};
 use mvmodel::{parse_transaction_line, TransactionSet, TxnId};
 use mvrobustness::{is_robust, Allocator};
@@ -280,18 +281,9 @@ fn soak(intensity: &Intensity, events: usize, seed: u64) -> SoakRow {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |name: &str| -> Option<String> {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let events: usize = opt("--events").map_or(150, |v| v.parse().expect("--events N"));
-    let seed: u64 = opt("--seed").map_or(0xB11, |v| v.parse().expect("--seed N"));
-    let json_path = opt("--json");
+    let sweep = Sweep::new("soak_chaos", &["--events", "--seed", "--json"]);
+    let events: usize = sweep.value("--events").unwrap_or(150);
+    let seed: u64 = sweep.value("--seed").unwrap_or(0xB11);
 
     println!("## B11 — chaos soak: recovery latency vs. fault intensity (seed {seed}, {events} events)\n");
     println!("| intensity | applied | rejected | faults injected | retried reqs | mean recovery (ms) | max recovery (ms) | verified |");
@@ -326,27 +318,14 @@ fn main() {
         }));
     }
 
-    if let Some(path) = json_path {
-        // Merge under "chaos_soak" without clobbering other tables.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["chaos_soak"] = json!({
+    sweep.record(
+        "chaos_soak",
+        None,
+        json!({
             "experiment": "B11-chaos-recovery-latency",
             "seed": seed,
-            "env": mvbench::bench_env(None),
             "events": events as u64,
             "rows": rows,
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged chaos_soak rows into {path}");
-    }
+        }),
+    );
 }

@@ -32,6 +32,7 @@
 //! fast/delta ratio at 10k, and merges the rows into the JSON document
 //! under `"admission"`.
 
+use mvbench::{time, Sweep};
 use mvisolation::IsolationLevel;
 use mvmodel::{OpKind, TxnId};
 use mvrobustness::LevelSet;
@@ -40,10 +41,8 @@ use mvtemplates::{optimal_template_allocation, smallbank_templates, TemplateCata
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde_json::{json, Value};
-use std::time::Instant;
 
 const SEED: u64 = 0xB17;
-const REPRO: &str = "cargo run --release -p mvbench --bin sweep_admission -- --smoke";
 /// Customers per conflict cell (matches B15): instances draw all their
 /// customers from one cell, so delta components never merge across cells.
 const CELL: u32 = 8;
@@ -136,29 +135,17 @@ fn catalog_registry(set: &TemplateSet) -> Registry {
 }
 
 /// Fast path: events/sec admitting the probe stream against a registry
-/// already holding `population` admitted instances, repeating the probe
-/// until ≥ ~50ms of wall clock.
+/// already holding `population` admitted instances.
 fn measure_fast(reg: &mut Registry, probe: &[Inst]) -> f64 {
-    // Warm pass (also the last chance to catch an admission error).
-    for inst in probe {
-        reg.admit_instance(inst.tid, inst.args())
-            .expect("in-catalog admit");
-    }
-    let mut events = 0u64;
-    let start = Instant::now();
-    loop {
+    let pass = time(|| {
         for inst in probe {
             std::hint::black_box(
                 reg.admit_instance(inst.tid, inst.args())
                     .expect("in-catalog admit"),
             );
         }
-        events += probe.len() as u64;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.05 {
-            return events as f64 / elapsed;
-        }
-    }
+    });
+    probe.len() as f64 / pass
 }
 
 /// Delta path: events/sec for `register` arrivals against a registry
@@ -166,36 +153,20 @@ fn measure_fast(reg: &mut Registry, probe: &[Inst]) -> f64 {
 /// registers the probe lines and deregisters them again (restoring the
 /// population); only the register events are counted.
 fn measure_delta(reg: &mut Registry, probe: &[(u32, String)]) -> f64 {
-    let cycle = |reg: &mut Registry| {
+    let cycle = time(|| {
         for (_, line) in probe {
             reg.register(line).expect("allocatable probe");
         }
         for (id, _) in probe {
             reg.deregister(TxnId(*id)).expect("probe member");
         }
-    };
-    cycle(reg); // warm-up
-    let mut events = 0u64;
-    let start = Instant::now();
-    loop {
-        cycle(reg);
-        events += probe.len() as u64;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.05 {
-            return events as f64 / elapsed;
-        }
-    }
+    });
+    probe.len() as f64 / cycle
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
+    let mut sweep = Sweep::new("sweep_admission", &["--json", "--smoke"]);
+    let smoke = sweep.smoke();
 
     let set = smallbank_templates();
     let audited: Vec<IsolationLevel> = optimal_template_allocation(
@@ -211,7 +182,7 @@ fn main() {
     for (tid, want) in audited.iter().enumerate() {
         assert_eq!(
             listed[tid].level, *want,
-            "catalog level for template {tid} diverged from the audit ({REPRO})"
+            "catalog level for template {tid} diverged from the audit"
         );
     }
     for inst in instance_stream(&set, FAST_PROBE, universe(POPULATIONS[0]), SEED) {
@@ -220,7 +191,7 @@ fn main() {
             .expect("in-catalog admit");
         assert_eq!(
             level, audited[inst.tid],
-            "fast-path admission for template {} diverged from the audit ({REPRO})",
+            "fast-path admission for template {} diverged from the audit",
             inst.tid
         );
     }
@@ -288,7 +259,6 @@ fn main() {
     }
     println!("\ndelta path omitted at 100k (pre-registering 100k transactions is minutes of reallocation); smoke mode also skips 10k");
 
-    let mut failed = false;
     let fast_100k = fast
         .iter()
         .find(|(p, _)| *p == 100_000)
@@ -296,11 +266,10 @@ fn main() {
         .1;
     let delta_1k = delta.iter().find(|(p, _)| *p == 1_000).expect("1k row").1;
     if fast_100k <= delta_1k {
-        println!(
-            "FAIL: fast path against 100k live instances ({fast_100k:.3e} ev/s) does not beat \
-             delta against 1k ({delta_1k:.3e} ev/s) ({REPRO})"
-        );
-        failed = true;
+        sweep.fail(format!(
+            "fast path against 100k live instances ({fast_100k:.3e} ev/s) does not beat \
+             delta against 1k ({delta_1k:.3e} ev/s)"
+        ));
     }
     let spread = {
         let rates: Vec<f64> = fast.iter().map(|&(_, r)| r).collect();
@@ -308,11 +277,9 @@ fn main() {
             / rates.iter().cloned().fold(f64::MAX, f64::min)
     };
     if !smoke && spread > 1.5 {
-        println!(
-            "FAIL: fast path is not flat across 1k→100k (max/min spread {spread:.2}× > 1.5×) \
-             ({REPRO})"
-        );
-        failed = true;
+        sweep.fail(format!(
+            "fast path is not flat across 1k→100k (max/min spread {spread:.2}× > 1.5×)"
+        ));
     }
     let ratio_10k = delta
         .iter()
@@ -320,22 +287,17 @@ fn main() {
         .map(|&(_, d)| fast.iter().find(|(p, _)| *p == 10_000).expect("10k row").1 / d);
     if let Some(r) = ratio_10k {
         if r < 100.0 {
-            println!("FAIL: fast/delta ratio at 10k is {r:.0}× (< 100×) ({REPRO})");
-            failed = true;
+            sweep.fail(format!("fast/delta ratio at 10k is {r:.0}× (< 100×)"));
         }
     }
 
-    if let Some(path) = json_path {
-        // Merge under "admission" without clobbering the other tables.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        let row = |&(population, ev_s): &(usize, f64)| json!({ "population": population as u64, "events_per_s": ev_s });
-        doc["admission"] = json!({
+    let row = |&(population, ev_s): &(usize, f64)| json!({ "population": population as u64, "events_per_s": ev_s });
+    sweep.record(
+        "admission",
+        None,
+        json!({
             "experiment": "B17-template-admission",
             "seed": "0xB17",
-            "env": mvbench::bench_env(None),
             "templates": "smallbank",
             "cell": CELL,
             "load_per_customer": LOAD as u64,
@@ -344,24 +306,9 @@ fn main() {
             "fast": Value::Array(fast.iter().map(row).collect()),
             "delta": Value::Array(delta.iter().map(row).collect()),
             "fast_spread": spread,
-            "ratio_at_10k": match ratio_10k {
-                Some(r) => json!(r),
-                None => Value::Null,
-            },
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged admission rows into {path}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+            "ratio_at_10k": ratio_10k,
+        }),
+    );
+    sweep.finish();
     println!("\nadmission gates passed");
 }

@@ -6,12 +6,13 @@
 //! cargo run --release -p mvbench --bin sweep_baseline
 //! ```
 
-use mvbench::{workload, Contention};
+use mvbench::{workload, Contention, Sweep};
 use mvisolation::Allocation;
 use mvrobustness::{is_robust, static_si_robust};
 use std::time::Instant;
 
 fn main() {
+    Sweep::new("sweep_baseline", &[]);
     println!("## B8 — static SDG baseline vs exact Algorithm 1 (robustness against A_SI)\n");
     println!("| contention | |T| | cases | both robust | both non-robust | false alarms | sound? | static (s) | exact (s) |");
     println!("|---|---|---|---|---|---|---|---|---|");

@@ -25,6 +25,7 @@
 //! an event's latency is the wall time of the engine pass that carried
 //! it (every event in a drain waits for the whole drain).
 
+use mvbench::Sweep;
 use mvmodel::{Op, Transaction, TransactionSet, TxnId};
 use mvrobustness::{AllocError, Allocator, DeltaEvent};
 use rand::rngs::SmallRng;
@@ -34,7 +35,6 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 const SEED: u64 = 0xB13;
-const REPRO: &str = "cargo run --release -p mvbench --bin sweep_batch -- --smoke";
 const BATCH_SIZES: [usize; 4] = [1, 8, 64, 256];
 
 /// One SmallBank program instance as a raw transaction. Objects are raw
@@ -115,8 +115,8 @@ struct Cell {
 }
 
 /// Replays the script in drains of `batch` events, timing each drain;
-/// panics (with the repro command) if verdicts or the final optimum
-/// diverge from the sequential baseline.
+/// panics if verdicts or the final optimum diverge from the sequential
+/// baseline.
 fn measure(
     script: &[DeltaEvent],
     batch: usize,
@@ -140,16 +140,16 @@ fn measure(
     assert_eq!(
         verdicts.len(),
         expected_verdicts.len(),
-        "batch={batch}: dropped events — repro: {REPRO}"
+        "batch={batch}: dropped events"
     );
     assert_eq!(
         verdicts, expected_verdicts,
-        "batch={batch}: verdicts diverged from the sequential delta API — repro: {REPRO}"
+        "batch={batch}: verdicts diverged from the sequential delta API"
     );
     assert_eq!(
         alloc.current().expect("survivor set is allocatable"),
         expected_final,
-        "batch={batch}: final optimum diverged from the sequential engine — repro: {REPRO}"
+        "batch={batch}: final optimum diverged from the sequential engine"
     );
 
     // p99 per event: an event's latency is its drain's wall time.
@@ -169,14 +169,8 @@ fn measure(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
+    let mut sweep = Sweep::new("sweep_batch", &["--json", "--smoke"]);
+    let smoke = sweep.smoke();
 
     let (events, customers, live) = if smoke {
         (1024usize, 24u32, 96usize)
@@ -230,42 +224,24 @@ fn main() {
         .expect("64 is a swept size")
         .events_per_s
         / base_rate;
-    let failed = payoff <= 2.0;
-    if failed {
-        eprintln!(
-            "FAIL: batch=64 is only {payoff:.2}× batch=1 on events/sec \
-             (gate: > 2×) — repro: {REPRO}"
-        );
+    if payoff <= 2.0 {
+        sweep.fail(format!(
+            "batch=64 is only {payoff:.2}× batch=1 on events/sec (gate: > 2×)"
+        ));
     }
 
-    if let Some(path) = json_path {
-        // Merge under "batch" without clobbering the other tables.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["batch"] = json!({
+    sweep.record(
+        "batch",
+        None,
+        json!({
             "experiment": "B13-group-commit-coalescing",
             "seed": format!("{SEED:#x}"),
-            "env": mvbench::bench_env(None),
             "smoke": smoke,
             "events": events as u64,
             "rows": rows,
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged batch rows into {path}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+        }),
+    );
+    sweep.finish();
     if smoke {
         println!("\nsmoke OK: batched engine bit-identical and the coalescing payoff holds");
     }

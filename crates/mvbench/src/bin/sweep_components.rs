@@ -21,30 +21,11 @@
 //! engine disagrees with the unsharded one or regresses more than 2× on
 //! the single-component worst case — the CI gate.
 
-use mvbench::{clustered_workload, ring_workload};
+use mvbench::{clustered_workload, ring_workload, time, Sweep};
 use mvrobustness::Allocator;
 use serde_json::{json, Value};
-use std::time::Instant;
 
 const SEED: u64 = 0xB12;
-const REPRO: &str = "cargo run --release -p mvbench --bin sweep_components -- --smoke";
-
-fn time<R, F: FnMut() -> R>(mut f: F) -> f64 {
-    // Warm up once, then time enough iterations for ≥ ~50ms.
-    f();
-    let mut iters = 1u32;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.05 || iters >= 1 << 16 {
-            return elapsed / iters as f64;
-        }
-        iters *= 4;
-    }
-}
 
 struct Cell {
     regime: &'static str,
@@ -73,7 +54,7 @@ fn measure(regime: &'static str, txns: mvmodel::TransactionSet, delta: bool) -> 
     let (unsharded, _) = Allocator::new(&txns).with_components(false).optimal();
     assert_eq!(
         sharded, unsharded,
-        "sharded optimum diverged on {regime} |T|={n} — repro: {REPRO}"
+        "sharded optimum diverged on {regime} |T|={n}"
     );
     if components > 1 {
         assert!(
@@ -102,7 +83,7 @@ fn measure(regime: &'static str, txns: mvmodel::TransactionSet, delta: bool) -> 
         let warm = alloc.add_txn(churn.clone()).expect("allocatable add");
         assert_eq!(
             warm.allocation, sharded,
-            "delta add diverged on {regime} |T|={n} — repro: {REPRO}"
+            "delta add diverged on {regime} |T|={n}"
         );
         alloc.remove_txn(churn_id).expect("member removal");
         let t = time(|| {
@@ -133,14 +114,8 @@ fn measure(regime: &'static str, txns: mvmodel::TransactionSet, delta: bool) -> 
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
+    let mut sweep = Sweep::new("sweep_components", &["--json", "--smoke"]);
+    let smoke = sweep.smoke();
 
     // (clusters, per-cluster) for the multi regime; ring size for single.
     let (multi_sizes, ring_sizes): (&[(u32, u32)], &[u32]) = if smoke {
@@ -200,46 +175,28 @@ fn main() {
     // `measure`; here the single-component overhead budget is enforced
     // (generous in smoke mode, where absolute times are tiny and noisy).
     let budget = if smoke { 2.0 } else { 1.1 };
-    let mut failed = false;
     for c in cells.iter().filter(|c| c.regime == "single") {
         let overhead = c.sharded_s / c.unsharded_s;
         if overhead > budget {
-            eprintln!(
-                "FAIL: sharded engine is {overhead:.2}× the monolithic engine on the \
-                 single-component worst case (|T|={}, budget {budget}×) — repro: {REPRO}",
+            sweep.fail(format!(
+                "sharded engine is {overhead:.2}× the monolithic engine on the \
+                 single-component worst case (|T|={}, budget {budget}×)",
                 c.txns
-            );
-            failed = true;
+            ));
         }
     }
 
-    if let Some(path) = json_path {
-        // Merge under "components" without clobbering the B9/B10 tables.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["components"] = json!({
+    sweep.record(
+        "components",
+        None,
+        json!({
             "experiment": "B12-component-sharding",
             "seed": format!("{SEED:#x}"),
-            "env": mvbench::bench_env(None),
             "smoke": smoke,
             "rows": rows,
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged component rows into {path}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+        }),
+    );
+    sweep.finish();
     if smoke {
         println!("\nsmoke OK: sharded engine bit-identical and within the overhead budget");
     }

@@ -6,6 +6,7 @@
 //! cargo run --release -p mvbench --bin sweep_composition
 //! ```
 
+use mvbench::Sweep;
 use mvisolation::Allocation;
 use mvrobustness::{is_robust, optimal_allocation, optimal_allocation_rc_si};
 use mvworkloads::smallbank::SmallBank;
@@ -13,6 +14,7 @@ use mvworkloads::tpcc::Tpcc;
 use mvworkloads::{RandomWorkload, Ycsb, YcsbMix};
 
 fn main() {
+    Sweep::new("sweep_composition", &[]);
     println!("## B5a — optimal composition vs Zipf skew (20 txns, 40 objects, 3 seeds avg)\n");
     println!("| θ | %RC | %SI | %SSI | SI-robust | RC-robust |");
     println!("|---|---|---|---|---|---|");

@@ -12,40 +12,14 @@
 //! recomputations over the corresponding sets. Before timing, the delta
 //! results are asserted bit-identical to the full recomputation on the
 //! same membership. With `--json PATH` the rows are merged into the
-//! existing document under a `"delta"` key (B9 rows are preserved).
+//! existing document under a `"delta"` key.
 
-use mvbench::{workload, Contention};
+use mvbench::{time, workload, Contention, Sweep};
 use mvrobustness::Allocator;
 use serde_json::{json, Value};
-use std::time::Instant;
-
-fn time<R, F: FnMut() -> R>(mut f: F) -> f64 {
-    // Warm up once, then time enough iterations for ≥ ~50ms.
-    f();
-    let mut iters = 1u32;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.05 || iters >= 1 << 16 {
-            return elapsed / iters as f64;
-        }
-        iters *= 4;
-    }
-}
 
 fn main() {
-    let json_path = {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        argv.iter().position(|a| a == "--json").map(|i| {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("--json requires a path");
-                std::process::exit(2);
-            })
-        })
-    };
+    let sweep = Sweep::new("sweep_delta", &["--json"]);
 
     println!("## B10 — delta reallocation vs. full recompute (seconds per reallocation)\n");
     println!("| |T| | full optimal (s) | delta add+remove (s) | per-event speedup | probes/add | cache hits/add |");
@@ -110,28 +84,14 @@ fn main() {
         }));
     }
 
-    if let Some(path) = json_path {
-        // Merge under "delta" without clobbering whatever (e.g. the B9
-        // table) is already in the file.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["delta"] = json!({
+    sweep.record(
+        "delta",
+        None,
+        json!({
             "experiment": "B10-delta-vs-full",
             "contention": "medium",
-            "env": mvbench::bench_env(None),
             "seed": "0xD5",
             "rows": rows,
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged delta rows into {path}");
-    }
+        }),
+    );
 }

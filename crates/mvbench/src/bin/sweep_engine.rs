@@ -11,8 +11,8 @@
 //! thread is actually available — at `--threads`/`available_parallelism`
 //! threads) compute the optimal allocation on the *same* workload; the
 //! verdicts are asserted equal, wall times and the engine's work
-//! counters are reported, and the whole table is optionally dumped as
-//! JSON.
+//! counters are reported, and with `--json PATH` the table is merged
+//! into the document under an `"engine"` key.
 //!
 //! A single-threaded machine gets **no** multi-threaded column: timing
 //! the 1-thread engine twice and labelling the copy "mt" would be a lie,
@@ -21,45 +21,16 @@
 //! multi-threaded measurement anyway (e.g. to measure oversubscription
 //! on one core).
 
-use mvbench::{workload, Contention};
+use mvbench::{time, workload, Contention, Sweep};
 use mvrobustness::{optimal_allocation_reference, Allocator};
 use serde_json::{json, Value};
-use std::time::Instant;
-
-fn time<R, F: FnMut() -> R>(mut f: F) -> f64 {
-    // Warm up once, then time enough iterations for ≥ ~50ms.
-    f();
-    let mut iters = 1u32;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.05 || iters >= 1 << 16 {
-            return elapsed / iters as f64;
-        }
-        iters *= 4;
-    }
-}
+use std::num::NonZeroUsize;
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
-    let threads_override = argv.iter().position(|a| a == "--threads").map(|i| {
-        argv.get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--threads requires a count ≥ 1");
-                std::process::exit(2);
-            })
-    });
+    let sweep = Sweep::new("sweep_engine", &["--json", "--threads"]);
+    let threads_override = sweep
+        .value::<NonZeroUsize>("--threads")
+        .map(NonZeroUsize::get);
     let hw_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -147,28 +118,15 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
-        // Merge into the existing document: the B10 ("delta"), B11
-        // ("chaos_soak") and B12 ("components") sections live in the
-        // same file and must survive a B9 re-run.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["experiment"] = json!("B9-engine-vs-reference");
-        doc["seed"] = json!("0xB3");
-        doc["hw_threads"] = json!(hw_threads as u64);
-        doc["mt_threads"] = json!(mt_threads.map(|n| n as u64));
-        doc["env"] = mvbench::bench_env(mt_threads.map(|n| n as u64));
-        doc["rows"] = json!(rows);
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nwrote {path}");
-    }
+    sweep.record(
+        "engine",
+        mt_threads.map(|n| n as u64),
+        json!({
+            "experiment": "B9-engine-vs-reference",
+            "seed": "0xB3",
+            "hw_threads": hw_threads as u64,
+            "mt_threads": mt_threads.map(|n| n as u64),
+            "rows": rows,
+        }),
+    );
 }

@@ -23,6 +23,7 @@
 //! conservative detector — the CI gate.
 
 use mvbench::conformance::optimal_alloc;
+use mvbench::Sweep;
 use mvisolation::{Allocation, IsolationLevel};
 use mvrobustness::check_trace;
 use mvsim::{level_index, run_workload, LatencyStats, SimConfig, SsiMode};
@@ -30,7 +31,6 @@ use mvworkloads::SmallBank;
 use serde_json::{json, Value};
 
 const SEED: u64 = 0xB16;
-const REPRO: &str = "cargo run --release -p mvbench --bin sweep_exec -- --smoke";
 const THETA: f64 = 0.9;
 const CONCURRENCY: usize = 8;
 
@@ -72,8 +72,10 @@ impl Cell {
 }
 
 /// Executes `txns` under `alloc` across all sim seeds and pools the
-/// metrics. Every run's trace is validated against the allocation.
+/// metrics. Every run's trace is validated against the allocation; a
+/// non-conformant one fails the sweep at once.
 fn measure(
+    sweep: &Sweep,
     customers: usize,
     mode: SsiMode,
     alloc_label: &'static str,
@@ -101,13 +103,12 @@ fn measure(
         // Both compared allocations are robust, so every committed trace
         // must be allowed *and* serializable.
         if let Err(e) = check_trace(&exported.schedule, &exported.allocation, true) {
-            eprintln!(
-                "FAIL: non-conformant execution ({alloc_label}, customers={customers}, \
-                 mode={}, sim seed {}): {e}\nrepro: {REPRO}",
+            sweep.abort(format!(
+                "non-conformant execution ({alloc_label}, customers={customers}, \
+                 mode={}, sim seed {}): {e}",
                 mode_label(mode),
                 SEED.wrapping_add(s)
-            );
-            std::process::exit(1);
+            ));
         }
         commits += engine.metrics.commits;
         aborts += engine.metrics.total_aborts();
@@ -132,14 +133,8 @@ fn measure(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
+    let mut sweep = Sweep::new("sweep_exec", &["--json", "--smoke"]);
+    let smoke = sweep.smoke();
 
     // The transaction count stays fixed across modes: the mixed-vs-SSI
     // contrast needs enough instances that Algorithm 2 finds demotable
@@ -161,8 +156,12 @@ fn main() {
         let mixed = optimal_alloc(&txns);
         let ssi = Allocation::uniform(&txns, IsolationLevel::SSI);
         for mode in [SsiMode::Exact, SsiMode::Conservative] {
-            cells.push(measure(customers, mode, "all-SSI", &txns, &ssi, sim_seeds));
-            cells.push(measure(customers, mode, "mixed", &txns, &mixed, sim_seeds));
+            cells.push(measure(
+                &sweep, customers, mode, "all-SSI", &txns, &ssi, sim_seeds,
+            ));
+            cells.push(measure(
+                &sweep, customers, mode, "mixed", &txns, &mixed, sim_seeds,
+            ));
         }
     }
 
@@ -209,7 +208,6 @@ fn main() {
     // The exact detector is reported but not gated: with zero false
     // positives there is nothing for the mixed allocation to shed, and
     // the observed tie is itself the result.
-    let mut failed = false;
     let mut any_mixed = false;
     let mut agg_ssi_rate = (0u64, 0u64); // (aborts, attempts) all-SSI
     let mut agg_mixed_rate = (0u64, 0u64);
@@ -228,63 +226,42 @@ fn main() {
         agg_mixed_rate.0 += mixed.aborts;
         agg_mixed_rate.1 += mixed.attempts();
         if mixed.goodput < ssi.goodput {
-            eprintln!(
-                "FAIL: mixed goodput {:.4} < all-SSI {:.4} at customers={customers} \
-                 (conservative) — repro: {REPRO}",
+            sweep.fail(format!(
+                "mixed goodput {:.4} < all-SSI {:.4} at customers={customers} (conservative)",
                 mixed.goodput, ssi.goodput
-            );
-            failed = true;
+            ));
         }
     }
     let rate = |(aborts, attempts): (u64, u64)| aborts as f64 / attempts as f64;
     if rate(agg_mixed_rate) >= rate(agg_ssi_rate) {
-        eprintln!(
-            "FAIL: aggregate mixed abort rate {:.3} not strictly below all-SSI {:.3} \
-             (conservative) — repro: {REPRO}",
+        sweep.fail(format!(
+            "aggregate mixed abort rate {:.3} not strictly below all-SSI {:.3} (conservative)",
             rate(agg_mixed_rate),
             rate(agg_ssi_rate)
-        );
-        failed = true;
+        ));
     }
     if !any_mixed {
-        eprintln!(
-            "FAIL: the optimal allocation degenerated to a uniform level on every cell — \
-             the workload no longer exercises mixing — repro: {REPRO}"
+        sweep.fail(
+            "the optimal allocation degenerated to a uniform level on every cell — \
+             the workload no longer exercises mixing",
         );
-        failed = true;
     }
 
-    if let Some(path) = json_path {
-        // Merge under "exec" without clobbering the other tables.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["exec"] = json!({
+    sweep.record(
+        "exec",
+        None,
+        json!({
             "experiment": "B16-mixed-vs-ssi-execution",
             "seed": format!("{SEED:#x}"),
-            "env": mvbench::bench_env(None),
             "txns": n_txns as u64,
             "theta": THETA,
             "concurrency": CONCURRENCY as u64,
             "sim_seeds": sim_seeds,
             "smoke": smoke,
             "rows": rows,
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged exec rows into {path}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+        }),
+    );
+    sweep.finish();
     if smoke {
         println!("\nsmoke OK: traces conformant; mixed allocation dominates all-SSI under the conservative detector");
     }

@@ -37,7 +37,7 @@
 //!    multi-thread cell may fall below ¼ of single-thread), and the
 //!    recorded `env` block says why.
 
-use mvbench::{bench_env, conformance::optimal_alloc, jobs};
+use mvbench::{conformance::optimal_alloc, jobs, Sweep};
 use mvisolation::{Allocation, IsolationLevel};
 use mvrobustness::check_trace;
 use mvsim::{run_parallel_jobs_with, ParOptions, SimConfig, SsiMode};
@@ -45,7 +45,6 @@ use mvworkloads::SmallBank;
 use serde_json::{json, Value};
 
 const SEED: u64 = 0xB18;
-const REPRO: &str = "cargo run --release -p mvbench --bin sweep_exec_mt -- --smoke";
 const THETA_HOT: f64 = 1.1;
 const THETA_CELL: f64 = 0.9;
 
@@ -125,8 +124,10 @@ fn timed_pair(
 }
 
 /// One traced validation run per (workload, allocation, threads):
-/// exports the trace and checks the full contract.
+/// exports the trace and checks the full contract; a violation fails
+/// the sweep at once.
 fn validate(
+    sweep: &Sweep,
     txns: &mvmodel::TransactionSet,
     alloc: &Allocation,
     threads: usize,
@@ -140,23 +141,16 @@ fn validate(
     let run = mvsim::run_parallel_workload(txns, alloc, config);
     let exported = run.trace.export().expect("validation runs record traces");
     if let Err(e) = check_trace(&exported.schedule, &exported.allocation, true) {
-        eprintln!(
-            "FAIL: non-conformant parallel execution ({workload}, {alloc_label}, \
-             {threads} threads): {e}\nrepro: {REPRO}"
-        );
-        std::process::exit(1);
+        sweep.abort(format!(
+            "non-conformant parallel execution ({workload}, {alloc_label}, \
+             {threads} threads): {e}"
+        ));
     }
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
+    let mut sweep = Sweep::new("sweep_exec_mt", &["--json", "--smoke"]);
+    let smoke = sweep.smoke();
 
     let logical_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -195,8 +189,8 @@ fn main() {
         let jobs_ssi = jobs(txns, &ssi, copies);
         let jobs_mixed = jobs(txns, &mixed, copies);
         for &threads in thread_counts {
-            validate(txns, &ssi, threads, wl_label, "all-SSI");
-            validate(txns, &mixed, threads, wl_label, "mixed");
+            validate(&sweep, txns, &ssi, threads, wl_label, "all-SSI");
+            validate(&sweep, txns, &mixed, threads, wl_label, "mixed");
             let (cell_ssi, cell_mixed, ratio) =
                 timed_pair(&jobs_ssi, &jobs_mixed, threads, reps, wl_label);
             pair_ratios.push((wl_label, threads, ratio));
@@ -222,8 +216,6 @@ fn main() {
             .expect("cell measured")
     };
 
-    let mut failed = false;
-
     // Gate 2: mixed >= all-SSI at every thread count, both workloads,
     // judged on the best *paired* ratio across reps. The 5% margin
     // absorbs residual per-pair noise; a genuine inversion (mixed
@@ -232,11 +224,10 @@ fn main() {
     const NOISE_MARGIN: f64 = 0.95;
     for &(wl_label, threads, ratio) in &pair_ratios {
         if ratio < NOISE_MARGIN {
-            eprintln!(
-                "FAIL: mixed/all-SSI paired throughput ratio {ratio:.3} < {NOISE_MARGIN} at \
-                 {wl_label}/{threads} threads (conservative) — repro: {REPRO}"
-            );
-            failed = true;
+            sweep.fail(format!(
+                "mixed/all-SSI paired throughput ratio {ratio:.3} < {NOISE_MARGIN} at \
+                 {wl_label}/{threads} threads (conservative)"
+            ));
         }
     }
 
@@ -245,11 +236,10 @@ fn main() {
     if logical_cpus >= 4 && thread_counts.contains(&4) {
         let four = find("partitioned", "mixed", 4).txns_per_sec;
         if four < 2.0 * base_tps {
-            eprintln!(
-                "FAIL: partitioned mixed at 4 threads ({four:.0} txns/sec) is below 2x the \
-                 1-thread baseline ({base_tps:.0}) on a {logical_cpus}-CPU host — repro: {REPRO}"
-            );
-            failed = true;
+            sweep.fail(format!(
+                "partitioned mixed at 4 threads ({four:.0} txns/sec) is below 2x the \
+                 1-thread baseline ({base_tps:.0}) on a {logical_cpus}-CPU host"
+            ));
         }
     } else {
         println!(
@@ -259,66 +249,50 @@ fn main() {
         for &threads in thread_counts {
             let tps = find("partitioned", "mixed", threads).txns_per_sec;
             if tps < 0.25 * base_tps {
-                eprintln!(
-                    "FAIL: partitioned mixed collapsed at {threads} threads \
-                     ({tps:.0} vs {base_tps:.0} txns/sec single-threaded) — repro: {REPRO}"
-                );
-                failed = true;
+                sweep.fail(format!(
+                    "partitioned mixed collapsed at {threads} threads \
+                     ({tps:.0} vs {base_tps:.0} txns/sec single-threaded)"
+                ));
             }
         }
     }
 
-    if let Some(path) = json_path {
-        let rows: Vec<Value> = cells
-            .iter()
-            .map(|c| {
-                json!({
-                    "workload": c.workload,
-                    "allocation": c.alloc_label,
-                    "threads": c.threads as u64,
-                    "txns_per_sec": c.txns_per_sec,
-                    "commits": c.commits,
-                    "aborts": c.aborts,
-                    "abort_rate": c.abort_rate,
-                    "elapsed_ms": c.elapsed_ms,
-                })
+    let rows: Vec<Value> = cells
+        .iter()
+        .map(|c| {
+            json!({
+                "workload": c.workload,
+                "allocation": c.alloc_label,
+                "threads": c.threads as u64,
+                "txns_per_sec": c.txns_per_sec,
+                "commits": c.commits,
+                "aborts": c.aborts,
+                "abort_rate": c.abort_rate,
+                "elapsed_ms": c.elapsed_ms,
             })
-            .collect();
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        let ratios: Vec<Value> = pair_ratios
-            .iter()
-            .map(|&(wl, threads, ratio)| {
-                json!({ "workload": wl, "threads": threads as u64, "mixed_over_ssi": ratio })
-            })
-            .collect();
-        doc["exec_mt"] = json!({
+        })
+        .collect();
+    let ratios: Vec<Value> = pair_ratios
+        .iter()
+        .map(|&(wl, threads, ratio)| {
+            json!({ "workload": wl, "threads": threads as u64, "mixed_over_ssi": ratio })
+        })
+        .collect();
+    sweep.record(
+        "exec_mt",
+        None,
+        json!({
             "experiment": "B18-multicore-execution",
             "seed": format!("{SEED:#x}"),
             "txns": 128u64,
             "copies": copies as u64,
             "reps": reps,
             "smoke": smoke,
-            "env": bench_env(None),
             "pair_ratios": ratios,
             "rows": rows,
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged exec_mt rows into {path}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+        }),
+    );
+    sweep.finish();
     if smoke {
         println!(
             "\nsmoke OK: parallel traces conformant; mixed allocation dominates all-SSI at \

@@ -1,5 +1,6 @@
-//! B1/B2/B3/B4 table generator: wall-clock scaling of Algorithm 1,
-//! Algorithm 2 and the brute-force oracle.
+//! B1/B2/B3/B4/B7 table generator: wall-clock scaling of Algorithm 1,
+//! Algorithm 2 and the brute-force oracle, and the cost of building and
+//! verifying a counterexample schedule.
 //!
 //! ```sh
 //! cargo run --release -p mvbench --bin sweep_scaling
@@ -10,30 +11,14 @@
 //! sizes; Theorem 3.3 predicts a constant (≤ 6-ish) degree, while the
 //! oracle's slope grows with size (exponential).
 
-use mvbench::{oracle_workload, workload, Contention};
+use mvbench::{oracle_workload, time, workload, Contention, Sweep};
 use mvisolation::Allocation;
-use mvrobustness::{is_robust, optimal_allocation, oracle_is_robust};
+use mvrobustness::witness::{materialize, verify_witness};
+use mvrobustness::{find_counterexample, is_robust, optimal_allocation, oracle_is_robust};
 use std::sync::Arc;
-use std::time::Instant;
-
-fn time<F: FnMut() -> bool>(mut f: F) -> f64 {
-    // Warm up once, then time enough iterations for ≥ ~20ms.
-    f();
-    let mut iters = 1u32;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.02 || iters >= 1 << 20 {
-            return elapsed / iters as f64;
-        }
-        iters *= 4;
-    }
-}
 
 fn main() {
+    Sweep::new("sweep_scaling", &[]);
     println!("## B1 — Algorithm 1 scaling in |T| (seconds per call)\n");
     println!("| contention | |T| | robust? | time (s) | log-log slope |");
     println!("|---|---|---|---|---|");
@@ -119,5 +104,22 @@ fn main() {
             slow,
             slow / fast
         );
+    }
+
+    println!("\n## B7 — witness construction cost (all-SI, high contention, seconds per call)\n");
+    println!("| |T| | find (s) | materialize (s) | verify (s) |");
+    println!("|---|---|---|---|");
+    for n in [10u32, 20, 40] {
+        let txns = Arc::new(workload(n, Contention::High, 0xB7));
+        let si = Allocation::uniform_si(&txns);
+        let Some(spec) = find_counterexample(&txns, &si) else {
+            println!("| {n} | SI-robust: no witness | — | — |");
+            continue;
+        };
+        let find = time(|| find_counterexample(&txns, &si));
+        let build = time(|| materialize(Arc::clone(&txns), &si, &spec));
+        let schedule = materialize(Arc::clone(&txns), &si, &spec);
+        let verify = time(|| verify_witness(&schedule, &si).is_ok());
+        println!("| {n} | {find:.3e} | {build:.3e} | {verify:.3e} |");
     }
 }

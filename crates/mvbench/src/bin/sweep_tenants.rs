@@ -31,16 +31,16 @@
 //! when recovery exceeds 10 s, or when any recovered registry diverges
 //! — the CI gate.
 
+use mvbench::Sweep;
 use mvservice::{Config, Durability, RetryClient, RetryPolicy, Server, ServerHandle};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde_json::{json, Value};
+use serde_json::json;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xB15;
-const REPRO: &str = "cargo run --release -p mvbench --bin sweep_tenants -- --smoke";
 /// Customers per conflict cell: programs draw all their customers from
 /// one cell, so components never merge across cells.
 const CELL: u32 = 8;
@@ -111,7 +111,7 @@ fn start(dir: &std::path::Path, durability: Durability) -> Running {
         durability,
         ..Config::default()
     })
-    .unwrap_or_else(|e| panic!("bind/recover failed: {e} — repro: {REPRO}"));
+    .unwrap_or_else(|e| panic!("bind/recover failed: {e}"));
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run().expect("server run"));
@@ -147,8 +147,8 @@ fn replay(addr: SocketAddr, tenant: &str, lines: &[String], seed: u64) {
     for line in lines {
         let reply = c
             .register(line)
-            .unwrap_or_else(|e| panic!("register in {tenant} failed: {e} — repro: {REPRO}"));
-        assert_eq!(reply["ok"], true, "repro: {REPRO}");
+            .unwrap_or_else(|e| panic!("register in {tenant} failed: {e}"));
+        assert_eq!(reply["ok"], true, "register in {tenant} rejected: {reply}");
     }
 }
 
@@ -202,7 +202,7 @@ fn measure_fleet(n: usize, lines: &[String]) -> FleetRow {
         assert_eq!(
             s["registry_size"].as_u64(),
             Some(lines.len() as u64),
-            "tenant {i} diverged after recovery — repro: {REPRO}"
+            "tenant {i} diverged after recovery"
         );
     }
     let row = FleetRow {
@@ -244,14 +244,8 @@ fn measure_fsync(policy: Durability, lines: &[String]) -> FsyncRow {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_path = argv.iter().position(|a| a == "--json").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--json requires a path");
-            std::process::exit(2);
-        })
-    });
+    let mut sweep = Sweep::new("sweep_tenants", &["--json", "--smoke"]);
+    let smoke = sweep.smoke();
 
     let (events, customers, counts): (usize, u32, &[usize]) = if smoke {
         (96, 32, &[1, 4])
@@ -293,31 +287,24 @@ fn main() {
         .find(|r| r.tenants == 4)
         .or_else(|| fleet.last())
         .expect("at least one fleet row");
-    let mut failed = false;
     if four.tenants >= 2 && four.hit_rate <= 0.5 {
-        eprintln!(
-            "FAIL: cross-tenant hit rate at {} tenants is {:.1}% (gate: > 50%) — repro: {REPRO}",
+        sweep.fail(format!(
+            "cross-tenant hit rate at {} tenants is {:.1}% (gate: > 50%)",
             four.tenants,
             four.hit_rate * 100.0
-        );
-        failed = true;
+        ));
     }
     let slowest = fleet.iter().map(|r| r.recovery_ms).fold(0.0, f64::max);
     if slowest > 10_000.0 {
-        eprintln!("FAIL: recovery took {slowest:.0} ms (gate: < 10 s) — repro: {REPRO}");
-        failed = true;
+        sweep.fail(format!("recovery took {slowest:.0} ms (gate: < 10 s)"));
     }
 
-    if let Some(path) = json_path {
-        // Merge under "tenants" without clobbering the other tables.
-        let mut doc: Value = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| json!({}));
-        doc["tenants"] = json!({
+    sweep.record(
+        "tenants",
+        None,
+        json!({
             "experiment": "B15-multi-tenant-durability",
             "seed": format!("{SEED:#x}"),
-            "env": mvbench::bench_env(None),
             "smoke": smoke,
             "events_per_tenant": events as u64,
             "fleet": fleet.iter().map(|r| json!({
@@ -333,21 +320,9 @@ fn main() {
                 "events_per_s": r.events_per_s,
                 "fsyncs": r.fsyncs,
             })).collect::<Vec<_>>(),
-        });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&doc).expect("valid json"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nmerged tenant rows into {path}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+        }),
+    );
+    sweep.finish();
     if smoke {
         println!(
             "\nsmoke OK: cross-tenant cache sharing and recovery hold \

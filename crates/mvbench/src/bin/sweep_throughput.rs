@@ -6,7 +6,7 @@
 //! cargo run --release -p mvbench --bin sweep_throughput
 //! ```
 
-use mvbench::{jobs, ladder, workload, Contention};
+use mvbench::{jobs, ladder, workload, Contention, Sweep};
 use mvmodel::serializability::is_conflict_serializable;
 use mvsim::{run_jobs, Metrics, SimConfig, SsiMode};
 
@@ -38,6 +38,7 @@ fn measure(job_list: &[mvsim::Job], mode: SsiMode) -> (Metrics, u64) {
 }
 
 fn main() {
+    Sweep::new("sweep_throughput", &[]);
     println!("## B6a — goodput / abort rate under the allocation ladder ({RUNS} seeds)\n");
     println!("| contention | allocation | goodput | abort rate | serializable runs |");
     println!("|---|---|---|---|---|");

@@ -1,11 +1,15 @@
 //! Shared workload construction for the evaluation harness.
 //!
-//! Every experiment in `EXPERIMENTS.md` (B1–B7) is driven either by a
-//! criterion microbenchmark in `benches/` or by a sweep binary in
-//! `src/bin/`; both build their inputs through this module so the
-//! parameters are recorded in one place.
+//! Every experiment in `EXPERIMENTS.md` is driven by a sweep binary in
+//! `src/bin/`. The binaries build their inputs through this module, so
+//! the parameters are recorded in one place, and run through the
+//! [`Sweep`] harness, which owns their command line, timing loop,
+//! `BENCH_alg.json` merge and gate exit.
 
 pub mod conformance;
+pub mod sweep;
+
+pub use sweep::{time, Sweep};
 
 use mvisolation::{Allocation, IsolationLevel};
 use mvmodel::{TransactionSet, TxnSetBuilder};

@@ -15,8 +15,7 @@ pub struct Parsed {
     flags: Vec<String>,
 }
 
-/// Options that take a value; everything else starting with `--` is a
-/// boolean flag.
+/// Options that take a value.
 const VALUED: &[&str] = &[
     "addr",
     "alloc",
@@ -24,7 +23,6 @@ const VALUED: &[&str] = &[
     "batch-delay-us",
     "batch-max",
     "codec",
-    "core",
     "data-dir",
     "durability",
     "fault-plan",
@@ -39,6 +37,16 @@ const VALUED: &[&str] = &[
     "ssi-mode",
     "tenant",
     "threads",
+];
+
+/// Boolean flags. Any other `--name` is an unknown option.
+const FLAGS: &[&str] = &[
+    "allocate",
+    "dot",
+    "explain",
+    "json",
+    "no-components",
+    "optimal",
 ];
 
 impl Parsed {
@@ -60,6 +68,8 @@ impl Parsed {
                             .clone(),
                     };
                     out.options.insert(name.to_string(), value);
+                } else if !FLAGS.contains(&name) {
+                    return Err(format!("unknown option --{name}"));
                 } else if inline.is_some() {
                     return Err(format!("--{name} does not take a value"));
                 } else {
@@ -194,6 +204,8 @@ mod tests {
         assert!(e.contains("requires a value"));
         let e = Parsed::parse(&["--json=1".to_string()]).unwrap_err();
         assert!(e.contains("does not take a value"));
+        let e = Parsed::parse(&["--jsno".to_string()]).unwrap_err();
+        assert_eq!(e, "unknown option --jsno");
     }
 
     #[test]

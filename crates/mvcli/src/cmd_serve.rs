@@ -4,7 +4,7 @@
 //! mvrobust serve [--addr HOST:PORT] [--levels rc-si|rc-si-ssi] [--threads N]
 //!                [--realloc-timeout-ms N] [--fault-plan SPEC]
 //!                [--batch-max N] [--batch-delay-us N]
-//!                [--codec auto|line|binary] [--core event|threaded]
+//!                [--codec auto|line|binary]
 //!                [--data-dir DIR] [--snapshot-every N]
 //!                [--durability none|batch|event]
 //! ```
@@ -21,10 +21,8 @@
 //!
 //! `--codec` restricts which wire codecs connections may negotiate
 //! (default `auto`: first-byte sniff per connection — `{` means
-//! line-JSON, the 0xB1 magic means binary frames). `--core` selects the
-//! socket core: the default `event` loop multiplexes every connection
-//! on one readiness-polled thread; `threaded` is the blocking
-//! thread-per-connection baseline kept for the scaling bench.
+//! line-JSON, the 0xB1 magic means binary frames). One readiness-polled
+//! event-loop thread multiplexes every connection.
 //!
 //! `--data-dir` turns on durability: every applied mutation is written
 //! to a write-ahead event log in DIR before its reply ships, a snapshot
@@ -42,9 +40,7 @@
 //! per-codec counters from the server's metrics.
 
 use crate::args::Parsed;
-use mvservice::{
-    install_signal_handlers, CodecAccept, Config, CoreKind, Durability, FaultPlan, Server,
-};
+use mvservice::{install_signal_handlers, CodecAccept, Config, Durability, FaultPlan, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -83,12 +79,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
             .transpose()
             .map_err(|e| format!("invalid --codec: {e}"))?
             .unwrap_or_default(),
-        core: parsed
-            .option("core")
-            .map(|s| s.parse::<CoreKind>())
-            .transpose()
-            .map_err(|e| format!("invalid --core: {e}"))?
-            .unwrap_or_default(),
         data_dir: parsed.option("data-dir").map(PathBuf::from),
         durability: parsed
             .option("durability")
@@ -118,7 +108,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
         .as_ref()
         .map(|p| format!(" [fault injection: {p}]"))
         .unwrap_or_default();
-    let core = config.core;
     let codec = config.codec;
     let durable_note = config
         .data_dir
@@ -134,8 +123,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, String> {
     // must stay the FIRST line printed — harnesses parse the address
     // out of it.
     println!(
-        "listening on {addr} (levels {levels}, core {}, codec {}){durable_note}{fault_note}",
-        core.as_str(),
+        "listening on {addr} (levels {levels}, codec {}){durable_note}{fault_note}",
         codec.as_str()
     );
     server.run().map_err(|e| format!("serving: {e}"))?;

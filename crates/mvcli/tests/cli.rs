@@ -513,24 +513,15 @@ fn serve_and_client_round_trip_over_the_binary_codec() {
 }
 
 #[test]
-fn serve_threaded_core_and_codec_flags_validate() {
-    // The threaded baseline core serves the same protocol.
-    let (mut server, addr, _server_out, banner) = spawn_server(&["--core", "threaded"]);
-    assert!(banner.contains("core threaded"), "{banner}");
-    let (stdout, stderr, code) = client(&addr, &["ping", "--codec", "binary"]);
-    assert_eq!(code, 0, "{stderr}");
-    assert!(stdout.contains("pong"));
-    let (_, _, code) = client(&addr, &["shutdown"]);
-    assert_eq!(code, 0);
-    server.wait().expect("server exit");
-
+fn serve_codec_flags_validate() {
     // Bad values are usage errors (exit 2) with actionable messages.
     let (_, stderr, code) = run_with_stdin(&["serve", "--codec", "morse"], "");
     assert_eq!(code, 2);
     assert!(stderr.contains("invalid --codec"), "{stderr}");
-    let (_, stderr, code) = run_with_stdin(&["serve", "--core", "fiber"], "");
+    // `--core` is not an option: the event loop is the only core.
+    let (_, stderr, code) = run_with_stdin(&["serve", "--core", "threaded"], "");
     assert_eq!(code, 2);
-    assert!(stderr.contains("invalid --core"), "{stderr}");
+    assert!(stderr.contains("unknown option --core"), "{stderr}");
     let (_, stderr, code) = run_with_stdin(&["client", "ping", "--codec", "morse"], "");
     assert_eq!(code, 2);
     assert!(stderr.contains("invalid --codec"), "{stderr}");

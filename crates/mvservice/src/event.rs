@@ -13,16 +13,16 @@
 //!   [`WRITE_BACKPRESSURE`], the loop stops *reading* from it — a slow
 //!   consumer throttles its own pipeline instead of growing the
 //!   server's memory;
-//! - the stall clock for partial frames (same request-timeout
-//!   semantics as the threaded core).
+//! - the stall clock for partial frames
+//!   ([`crate::Config::request_timeout`]).
 //!
-//! Requests decode and execute exactly as on the threaded core
-//! ([`process_payload`] is shared), so replay, coalescing, and
-//! fault-injection semantics are bit-identical. Mutations parked for
-//! the group-commit dispatcher come back through the shared
-//! [`Completions`] queue: the dispatcher pushes replies and rings the
-//! waker; the poll wait returns; the loop encodes each reply in its
-//! connection's codec and queues the bytes. No sleep ticks anywhere —
+//! Requests decode and execute through [`process_payload`] on both
+//! codecs, so replay, coalescing, and fault-injection semantics are
+//! bit-identical across them. Mutations parked for the group-commit
+//! dispatcher come back through the shared [`Completions`] queue,
+//! addressed by connection key: the dispatcher pushes replies and
+//! rings the waker; the poll wait returns; the loop encodes each reply
+//! in its connection's codec and queues the bytes. No sleep ticks anywhere —
 //! the loop blocks in the kernel until a socket, the listener, or the
 //! waker is actually ready (the wait timeout exists only to poll the
 //! shutdown flag and the stall clocks).
@@ -40,9 +40,7 @@
 use crate::codec::{encode_payload, CodecKind, DrainPlan, FrameBuf, FrameError};
 use crate::poll::{self, PollEvent, Poller};
 use crate::protocol::error_reply;
-use crate::server::{
-    process_payload, stall_message, truncated_bytes, ReplyRoute, RequestAction, Shared,
-};
+use crate::server::{process_payload, stall_message, truncated_bytes, RequestAction, Shared};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -397,10 +395,7 @@ fn handle_readable(conn: &mut Conn, shared: &Shared) -> bool {
                     Ok(Some(payload)) => {
                         let codec = conn.fb.kind().unwrap_or(CodecKind::Line);
                         shared.metrics.codec_request(codec);
-                        let key = conn.key;
-                        let action = process_payload(shared, &payload, conn.key, conn.seq, || {
-                            ReplyRoute::Loop { key }
-                        });
+                        let action = process_payload(shared, &payload, conn.key, conn.seq);
                         apply_action(conn, codec, action);
                     }
                     Ok(None) => {}
@@ -438,10 +433,7 @@ fn decode_frames(conn: &mut Conn, shared: &Shared) {
                 conn.decoded += 1;
                 let codec = conn.fb.kind().expect("kind is sniffed once decoding");
                 shared.metrics.codec_request(codec);
-                let key = conn.key;
-                let action = process_payload(shared, &payload, conn.key, conn.seq, || {
-                    ReplyRoute::Loop { key }
-                });
+                let action = process_payload(shared, &payload, conn.key, conn.seq);
                 conn.seq += 1;
                 apply_action(conn, codec, action);
                 if conn.close_after_flush {
@@ -496,10 +488,13 @@ fn apply_action(conn: &mut Conn, codec: CodecKind, action: RequestAction) {
     }
 }
 
-/// Queues the structured reply for a framing error when that is safe
-/// (same policy as the threaded core: always on the line codec, only
-/// after a validated frame on the binary codec), and marks the
-/// connection for close.
+/// Queues the structured reply for a framing error when that is safe,
+/// and marks the connection for close. On the line codec an error reply
+/// is always safe. On the frame codec it is sent only once at least one
+/// frame decoded (or the codec was refused) — before that, the "binary"
+/// bytes may be arbitrary junk that merely began with the magic byte,
+/// and answering junk with binary would confuse line-speaking probes;
+/// those get a clean drop.
 fn queue_frame_error(conn: &mut Conn, shared: &Shared, err: &FrameError) {
     shared.metrics.record("invalid", false, Duration::ZERO);
     conn.discard = conn.fb.drain_plan(err);

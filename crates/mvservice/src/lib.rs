@@ -19,11 +19,12 @@
 //! - [`protocol`]: newline-delimited JSON over TCP — std-only, no
 //!   framing beyond `\n`, structured error replies (a malformed request
 //!   never drops the connection).
-//! - [`Server`] / [`Client`]: a blocking thread-per-connection daemon
-//!   with per-request timeouts, graceful shutdown (`shutdown` request,
-//!   [`ServerHandle::shutdown`], or `SIGINT`/`SIGTERM` via
-//!   [`install_signal_handlers`]), and [`Metrics`] — request counters
-//!   and p50/p99 service latencies, surfaced by the `stats` op.
+//! - [`Server`] / [`Client`]: an event-loop daemon (one readiness-polled
+//!   thread owns every connection) with per-request timeouts, graceful
+//!   shutdown (`shutdown` request, [`ServerHandle::shutdown`], or
+//!   `SIGINT`/`SIGTERM` via [`install_signal_handlers`]), and
+//!   [`Metrics`] — request counters and p50/p99 service latencies,
+//!   surfaced by the `stats` op.
 //!
 //! Fault tolerance is first-class:
 //!
@@ -44,10 +45,14 @@
 //!   once (the server answers replays from its idempotency cache).
 //!
 //! The CLI front end is `mvrobust serve` / `mvrobust client`.
+//!
+//! The crate is unix-only: the socket core polls raw fds.
+
+#[cfg(not(unix))]
+compile_error!("mvservice needs a unix target: its event-loop socket core polls raw fds");
 
 pub mod client;
 pub mod codec;
-#[cfg(unix)]
 pub(crate) mod event;
 pub mod fault;
 pub mod metrics;
@@ -70,5 +75,5 @@ pub use protocol::{Request, MAX_FRAME};
 pub use registry::{
     BatchReply, RegisteredTxn, Registry, RegistryError, RegistryEvent, TemplateInfo,
 };
-pub use server::{install_signal_handlers, Config, CoreKind, Server, ServerHandle, MAX_LINE};
+pub use server::{install_signal_handlers, Config, Server, ServerHandle};
 pub use store::{Durability, Recovered, SnapshotState, Store, TenantSnapshot, WalRecord};

@@ -27,20 +27,11 @@
 //! - [`raise_nofile_limit`]: a `setrlimit(RLIMIT_NOFILE)` shim so the
 //!   connection-scaling bench can open 2×10k sockets in one process.
 
-#[cfg(unix)]
 use std::io::{Read, Write};
-#[cfg(unix)]
 use std::os::unix::io::RawFd;
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
-#[cfg(unix)]
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Raw socket descriptor; aliased so the API keeps its shape on
-/// platforms without `std::os::unix`.
-#[cfg(not(unix))]
-pub type RawFd = i32;
 
 /// What a caller wants to hear about one fd.
 #[derive(Clone, Copy, Debug)]
@@ -132,21 +123,18 @@ pub fn wait(interests: &[Interest], timeout: Duration) -> Vec<Readiness> {
 /// A cross-thread poll interrupter: the write half is `wake()`-able
 /// from any thread, the read half sits in the event loop's interest
 /// set so a wake turns into POLLIN readiness.
-#[cfg(unix)]
 pub struct Waker {
     tx: Mutex<UnixStream>,
 }
 
 /// The event-loop half of a [`Waker`]: poll its `fd()`, then `drain()`
 /// when it reads ready.
-#[cfg(unix)]
 pub struct WakeRx {
     rx: UnixStream,
 }
 
 /// Builds a connected waker pair. Both halves are nonblocking: a full
 /// pipe means a wake is already pending, which is all we need.
-#[cfg(unix)]
 pub fn waker() -> std::io::Result<(Waker, WakeRx)> {
     let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
@@ -154,7 +142,6 @@ pub fn waker() -> std::io::Result<(Waker, WakeRx)> {
     Ok((Waker { tx: Mutex::new(tx) }, WakeRx { rx }))
 }
 
-#[cfg(unix)]
 impl Waker {
     /// Interrupts the poll wait. Idempotent while a wake is pending.
     pub fn wake(&self) {
@@ -165,7 +152,6 @@ impl Waker {
     }
 }
 
-#[cfg(unix)]
 impl WakeRx {
     pub fn fd(&self) -> RawFd {
         use std::os::unix::io::AsRawFd;
@@ -177,29 +163,6 @@ impl WakeRx {
         let mut sink = [0u8; 64];
         while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
     }
-}
-
-/// No-op waker for platforms without socket pairs: the fallback
-/// [`wait`] never blocks long, so readiness wakeups degrade to the
-/// short tick.
-#[cfg(not(unix))]
-pub struct Waker;
-#[cfg(not(unix))]
-pub struct WakeRx;
-#[cfg(not(unix))]
-pub fn waker() -> std::io::Result<(Waker, WakeRx)> {
-    Ok((Waker, WakeRx))
-}
-#[cfg(not(unix))]
-impl Waker {
-    pub fn wake(&self) {}
-}
-#[cfg(not(unix))]
-impl WakeRx {
-    pub fn fd(&self) -> RawFd {
-        -1
-    }
-    pub fn drain(&mut self) {}
 }
 
 /// One ready fd from [`Poller::wait`], tagged with the caller's token.

@@ -1,27 +1,21 @@
-//! The allocation daemon: a TCP server over the [`Registry`] with two
-//! socket cores and two wire codecs.
+//! The allocation daemon: a TCP server over the [`Registry`] with one
+//! event-loop socket core and two wire codecs.
 //!
 //! Design constraints (std-only, no async runtime):
 //!
-//! - **two cores** ([`Config::core`]): the default `Event` core is a
-//!   nonblocking readiness-polled event loop — one acceptor/poll
-//!   thread owns every connection's state (read buffer, codec parse
-//!   state, write backlog with backpressure) and multiplexes them over
-//!   `poll(2)` (see [`crate::poll`] and [`crate::event`]), so 10k+
-//!   concurrent connections cost fds, not threads. The `Threaded` core
-//!   is the original blocking thread-per-connection loop, kept as the
-//!   bench baseline and portability fallback. Both feed the same
-//!   request path, so replay, coalescing, and fault semantics are
-//!   bit-identical across cores;
+//! - **one core**: a nonblocking readiness-polled event loop — one
+//!   acceptor/poll thread owns every connection's state (read buffer,
+//!   codec parse state, write backlog with backpressure) and
+//!   multiplexes them over `poll(2)` (see [`crate::poll`] and
+//!   [`crate::event`]), so 10k+ concurrent connections cost fds, not
+//!   threads;
 //! - **two codecs** ([`Config::codec`], sniffed per connection by its
 //!   first byte): newline-delimited JSON text, or length-prefixed
 //!   binary frames carrying the same protocol payloads — see
 //!   [`crate::codec`];
-//! - on the threaded core each connection reads with a short socket
-//!   timeout used as a shutdown-poll tick; the event core's poll wait
-//!   doubles as that tick. A *request* timeout only starts once a
-//!   partial frame has arrived (an idle keep-alive connection never
-//!   times out);
+//! - the poll wait doubles as the shutdown-poll tick. A *request*
+//!   timeout only starts once a partial frame has arrived (an idle
+//!   keep-alive connection never times out);
 //! - malformed input produces a structured `{"ok":false,"error":…}`
 //!   reply and the connection stays open — only a stalled partial
 //!   request, an oversized frame, a codec violation, or an I/O error
@@ -45,19 +39,17 @@
 //!   drains up to `batch_max` of them (lingering `batch_delay` for
 //!   companions) and applies the drain as a **single** engine batch
 //!   ([`Registry::apply_events`]); each parked client gets its own
-//!   per-event reply, written per-connection in one buffered flush.
-//!   Replies to coalesced mutations echo the request's `req_id`, so
-//!   pipelined clients can match them out of band. With the default
-//!   `batch_max = 1` the queue does not exist and mutations run inline
-//!   exactly as before.
+//!   per-event reply, handed back to its connection through the event
+//!   loop's completion queue. Replies to coalesced mutations echo the
+//!   request's `req_id`, so pipelined clients can match them out of
+//!   band. With the default `batch_max = 1` the queue does not exist
+//!   and mutations run inline exactly as before.
 
-use crate::codec::{
-    encode_payload, CodecAccept, CodecKind, DrainPlan, FrameBuf, FrameError, Payload,
-};
+use crate::codec::{encode_payload, CodecAccept, CodecKind, Payload};
 use crate::fault::{FaultAction, FaultHook, FaultPlan, InjectedFault, ScriptedFaults};
 use crate::metrics::Metrics;
 use crate::namespace::{Namespaces, RegistryTemplate};
-use crate::protocol::{changes_json, error_reply, ok_reply, tenant_of, Request, MAX_FRAME};
+use crate::protocol::{changes_json, error_reply, ok_reply, tenant_of, Request};
 use crate::registry::{Registry, RegistryEvent};
 use crate::store::{Durability, SnapshotState, Store, TenantSnapshot};
 use mvisolation::{IsolationLevel, LevelChange};
@@ -66,47 +58,12 @@ use mvrobustness::{CompEntry, LevelSet};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
-
-/// Which socket core serves connections.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CoreKind {
-    /// Nonblocking readiness-polled event loop: one thread owns every
-    /// connection's state and multiplexes them over `poll(2)`.
-    #[default]
-    Event,
-    /// Blocking thread-per-connection (the pre-event-loop design) —
-    /// kept as the connection-scaling bench baseline.
-    Threaded,
-}
-
-impl CoreKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CoreKind::Event => "event",
-            CoreKind::Threaded => "threaded",
-        }
-    }
-}
-
-impl std::str::FromStr for CoreKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "event" => Ok(CoreKind::Event),
-            "threaded" | "threads" => Ok(CoreKind::Threaded),
-            other => Err(format!(
-                "unknown core `{other}` (expected event or threaded)"
-            )),
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -132,14 +89,12 @@ pub struct Config {
     /// Group-commit coalescing: the most mutating requests one
     /// dispatcher drain may apply as a single engine batch. The default
     /// `1` disables the coalescing queue entirely — mutations run
-    /// inline on their connection thread exactly as before.
+    /// inline on the event loop.
     pub batch_max: usize,
     /// How long a drain lingers for companion mutations after the first
     /// one arrives (the group-commit window). Only meaningful when
     /// `batch_max > 1`.
     pub batch_delay: Duration,
-    /// Which socket core serves connections (default: the event loop).
-    pub core: CoreKind,
     /// Which wire codecs incoming connections may negotiate (default:
     /// sniff per connection).
     pub codec: CodecAccept,
@@ -167,7 +122,6 @@ impl Default for Config {
             components: true,
             batch_max: 1,
             batch_delay: Duration::from_micros(100),
-            core: CoreKind::default(),
             codec: CodecAccept::default(),
             data_dir: None,
             snapshot_every: 1024,
@@ -175,13 +129,6 @@ impl Default for Config {
         }
     }
 }
-
-/// Longest accepted request frame, in bytes — an alias of the shared
-/// protocol-level cap [`MAX_FRAME`], kept under its historical name. A
-/// line (or declared binary payload) that grows past this gets a
-/// structured error reply and the connection is closed — the server
-/// never buffers unboundedly.
-pub const MAX_LINE: usize = MAX_FRAME;
 
 /// How many `(tenant, req_id) → reply` entries the idempotency replay
 /// cache keeps; oldest entries are evicted first.
@@ -242,22 +189,9 @@ impl ReplayCache {
     }
 }
 
-/// Where a parked request's reply goes once the dispatcher produces it.
-pub(crate) enum ReplyRoute {
-    /// Threaded core: write straight to the connection's shared writer
-    /// in the connection's codec.
-    Direct {
-        writer: Arc<Mutex<TcpStream>>,
-        codec: CodecKind,
-    },
-    /// Event core: hand the reply to the loop's completion queue (the
-    /// loop owns the socket) and wake the poll.
-    Loop { key: u64 },
-}
-
-/// One reply completed by the dispatcher for an event-core connection.
+/// One reply completed by the dispatcher for a connection.
 pub(crate) struct Completion {
-    /// The connection key ([`ReplyRoute::Loop`]).
+    /// The connection key ([`Pending::conn`]).
     pub(crate) key: u64,
     pub(crate) reply: Value,
     /// Cut the encoded reply mid-frame and kill the connection (an
@@ -311,13 +245,12 @@ pub(crate) struct Pending {
     tenant: Arc<str>,
     op: &'static str,
     req_id: Option<u64>,
-    /// Connection index (the fault coordinate and the reply-grouping
-    /// key).
+    /// Connection key: the fault coordinate and the event loop's
+    /// completion target.
     conn: u64,
     /// When the request was accepted — per-event latency is measured
     /// from here, so it includes the group-commit wait.
     accepted: Instant,
-    route: ReplyRoute,
     /// An injected `Truncate` fault rides along: the dispatcher cuts
     /// this event's reply mid-frame and kills the connection.
     truncate: bool,
@@ -335,7 +268,7 @@ struct Batcher {
     delay: Duration,
 }
 
-/// How often blocked reads and the acceptor wake up to poll shutdown.
+/// How often the idle dispatcher wakes up to poll shutdown.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Set by the `SIGINT`/`SIGTERM` handler; polled by every server.
@@ -350,7 +283,6 @@ pub fn install_signal_handlers() {
         // Only async-signal-safe work here: one atomic store.
         SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
     }
-    #[cfg(unix)]
     unsafe {
         extern "C" {
             fn signal(signum: i32, handler: usize) -> usize;
@@ -384,7 +316,7 @@ pub(crate) struct Shared {
     batch: Option<Batcher>,
     /// Which codecs incoming connections may negotiate.
     pub(crate) codec: CodecAccept,
-    /// Event-core reply handoff (unused by the threaded core).
+    /// Dispatcher → event-loop reply handoff.
     pub(crate) completions: Completions,
     /// `Some` only when a data directory was configured: the durability
     /// subsystem (write-ahead log + snapshots).
@@ -440,7 +372,6 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    core: CoreKind,
 }
 
 impl Server {
@@ -517,7 +448,6 @@ impl Server {
                 store,
                 recovery,
             }),
-            core: config.core,
         })
     }
 
@@ -532,8 +462,7 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request, a [`ServerHandle::shutdown`],
-    /// or a handled signal. Joins every connection thread (threaded
-    /// core) or flushes every live connection (event core) before
+    /// or a handled signal. Flushes every live connection before
     /// returning.
     pub fn run(self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
@@ -541,13 +470,7 @@ impl Server {
             let shared = Arc::clone(&self.shared);
             thread::spawn(move || run_dispatcher(&shared))
         });
-        let result = match self.core {
-            #[cfg(unix)]
-            CoreKind::Event => crate::event::run_event_loop(&self.listener, &self.shared),
-            #[cfg(not(unix))]
-            CoreKind::Event => run_threaded(&self.listener, &self.shared),
-            CoreKind::Threaded => run_threaded(&self.listener, &self.shared),
-        };
+        let result = crate::event::run_event_loop(&self.listener, &self.shared);
         if let Some(d) = dispatcher {
             // Connections are done; the dispatcher drains any parked
             // mutations (late replies may hit dead sockets or an
@@ -559,182 +482,6 @@ impl Server {
     }
 }
 
-/// The thread-per-connection acceptor: the original blocking core.
-fn run_threaded(listener: &TcpListener, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stopping() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                workers.push(thread::spawn(move || {
-                    // A connection failing setup or I/O is its own
-                    // problem; the server keeps serving.
-                    let _ = serve_connection(stream, shared);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_TICK);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-    Ok(())
-}
-
-/// Serves one client connection until it closes, stalls mid-request, or
-/// the server shuts down (threaded core).
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<()> {
-    // Fault coordinates: connection index and per-connection request
-    // sequence number. Both are deterministic given the client's
-    // connect/request order, which is what makes seeded schedules
-    // reproducible.
-    let conn = shared.conns.fetch_add(1, Ordering::SeqCst);
-    shared.metrics.conn_opened();
-    let res = serve_connection_inner(stream, &shared, conn);
-    shared.metrics.conn_closed();
-    res
-}
-
-fn serve_connection_inner(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(POLL_TICK))?;
-    stream.set_nodelay(true).ok();
-    // The writer is shared with the dispatcher thread when batching is
-    // on (coalesced replies are written by the dispatcher, inline
-    // replies by this thread); a mutex keeps the frames whole.
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
-    let mut fb = FrameBuf::new(shared.codec);
-    let mut scratch = [0u8; 8192];
-    let mut seq = 0u64;
-    // Frames decoded so far — the frame-codec error policy keys off it.
-    let mut decoded = 0u64;
-    // `Some(t)` while a partial request frame is buffered: the moment
-    // its first byte arrived (observed at the poll tick granularity).
-    let mut partial_since: Option<Instant> = None;
-    loop {
-        if shared.stopping() {
-            return Ok(());
-        }
-        match reader.read(&mut scratch) {
-            Ok(0) => {
-                // EOF. A final unterminated line still gets an answer;
-                // a binary frame cut short is a clean drop.
-                match fb.eof_residual() {
-                    Ok(Some(payload)) => {
-                        let codec = fb.kind().unwrap_or(CodecKind::Line);
-                        shared.metrics.codec_request(codec);
-                        let route = || ReplyRoute::Direct {
-                            writer: Arc::clone(&writer),
-                            codec,
-                        };
-                        match process_payload(shared, &payload, conn, seq, route) {
-                            RequestAction::Reply {
-                                reply, truncate, ..
-                            } => {
-                                let mut w = writer.lock().expect("writer poisoned");
-                                if truncate {
-                                    write_truncated(&mut w, codec, &reply)?;
-                                } else {
-                                    write_reply(&mut w, codec, &reply)?;
-                                }
-                            }
-                            RequestAction::SilentClose | RequestAction::Parked => {}
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(e) => frame_error_close(shared, &writer, &fb, decoded, &e)?,
-                }
-                return Ok(());
-            }
-            Ok(n) => {
-                fb.push(&scratch[..n]);
-                loop {
-                    match fb.next_payload() {
-                        Ok(Some(payload)) => {
-                            partial_since = None;
-                            decoded += 1;
-                            let codec = fb.kind().expect("kind is sniffed once decoding");
-                            shared.metrics.codec_request(codec);
-                            let route = || ReplyRoute::Direct {
-                                writer: Arc::clone(&writer),
-                                codec,
-                            };
-                            match process_payload(shared, &payload, conn, seq, route) {
-                                RequestAction::Parked => seq += 1,
-                                RequestAction::SilentClose => return Ok(()),
-                                RequestAction::Reply {
-                                    reply,
-                                    stop,
-                                    truncate,
-                                } => {
-                                    seq += 1;
-                                    let mut w = writer.lock().expect("writer poisoned");
-                                    if truncate {
-                                        // Connection dies *after* the
-                                        // request executed but before
-                                        // the full reply frame made it
-                                        // out: the retry hits the
-                                        // replay cache instead of
-                                        // double-applying.
-                                        write_truncated(&mut w, codec, &reply)?;
-                                        return Ok(());
-                                    }
-                                    write_reply(&mut w, codec, &reply)?;
-                                    if stop {
-                                        return Ok(());
-                                    }
-                                }
-                            }
-                        }
-                        Ok(None) => {
-                            if fb.has_partial() {
-                                partial_since.get_or_insert_with(Instant::now);
-                            } else {
-                                partial_since = None;
-                            }
-                            break;
-                        }
-                        Err(e) => {
-                            let plan = fb.drain_plan(&e);
-                            frame_error_close(shared, &writer, &fb, decoded, &e)?;
-                            drain_errored(&mut reader, plan, shared.request_timeout);
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Poll tick: partial bytes stay in the frame buffer, so
-                // a slow request accumulates across ticks — but not
-                // forever, and never past the frame cap.
-                if !fb.has_partial() {
-                    partial_since = None;
-                    continue;
-                }
-                let since = *partial_since.get_or_insert_with(Instant::now);
-                if since.elapsed() > shared.request_timeout {
-                    let codec = fb.kind().unwrap_or(CodecKind::Line);
-                    let reply = error_reply(stall_message(codec));
-                    write_reply(&mut writer.lock().expect("writer poisoned"), codec, &reply)?;
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// The stalled-partial-request error text, per codec (both say "timed
 /// out" — tests and clients match on that).
 pub(crate) fn stall_message(codec: CodecKind) -> &'static str {
@@ -742,81 +489,6 @@ pub(crate) fn stall_message(codec: CodecKind) -> &'static str {
         CodecKind::Line => "request timed out mid-line",
         CodecKind::Frame => "request timed out mid-frame",
     }
-}
-
-/// Swallows the remainder of an in-flight oversized request before
-/// closing. The peer is mid-way through sending it; closing with those
-/// bytes unread turns the close into an RST that can destroy the
-/// structured error reply before the peer reads it. Bounded by the
-/// stall budget (and EOF), so a peer that never finishes cannot pin
-/// the connection.
-fn drain_errored(reader: &mut TcpStream, plan: DrainPlan, budget: Duration) {
-    let mut scratch = [0u8; 8192];
-    let deadline = Instant::now() + budget.max(Duration::from_millis(100));
-    let mut left = match plan {
-        DrainPlan::None => return,
-        DrainPlan::UntilNewline | DrainPlan::UntilEof => usize::MAX,
-        DrainPlan::Bytes(n) => n,
-    };
-    while left > 0 {
-        let want = scratch.len().min(left);
-        match reader.read(&mut scratch[..want]) {
-            Ok(0) => return,
-            Ok(n) => match plan {
-                DrainPlan::UntilNewline => {
-                    if scratch[..n].contains(&b'\n') {
-                        return;
-                    }
-                }
-                DrainPlan::UntilEof => {}
-                _ => left -= n,
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if Instant::now() >= deadline {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Answers a framing error (oversized, bad magic, bad payload, refused
-/// codec) with a structured reply when that is safe, then lets the
-/// caller close. On the line codec an error reply is always safe. On
-/// the frame codec it is sent only once at least one frame decoded
-/// (`decoded > 0`) — before that, the "binary" bytes may be arbitrary
-/// junk that merely began with the magic byte, and answering junk with
-/// binary would confuse line-speaking probes; those get a clean drop.
-pub(crate) fn frame_error_close(
-    shared: &Shared,
-    writer: &Arc<Mutex<TcpStream>>,
-    fb: &FrameBuf,
-    decoded: u64,
-    err: &FrameError,
-) -> std::io::Result<()> {
-    shared.metrics.record("invalid", false, Duration::ZERO);
-    let codec = match err {
-        // Refusals answer in the codec the *client* speaks, so it can
-        // decode the explanation.
-        FrameError::Refused(got) => *got,
-        _ => fb.kind().unwrap_or(CodecKind::Line),
-    };
-    let structured = match codec {
-        CodecKind::Line => true,
-        CodecKind::Frame => decoded > 0 || matches!(err, FrameError::Refused(_)),
-    };
-    if structured {
-        let reply = error_reply(&err.message());
-        write_reply(&mut writer.lock().expect("writer poisoned"), codec, &reply)?;
-    }
-    Ok(())
 }
 
 /// What one decoded request frame resolved to.
@@ -831,8 +503,8 @@ pub(crate) enum RequestAction {
     /// executed, so a client retry (same `req_id`) applies it exactly
     /// once.
     SilentClose,
-    /// Parked in the coalescing queue; the dispatcher will answer via
-    /// the request's [`ReplyRoute`].
+    /// Parked in the coalescing queue; the dispatcher answers through
+    /// the completion queue.
     Parked,
 }
 
@@ -856,14 +528,13 @@ fn decode(payload: &Payload) -> Result<(Request, String), String> {
 
 /// Handles one decoded payload: (maybe) inject a fault, decode the
 /// request, park it (group-commit path) or execute it inline. Shared
-/// verbatim by both cores and both codecs — this is what keeps replay,
-/// coalescing, and fault semantics bit-identical across them.
+/// verbatim by both codecs — this is what keeps replay, coalescing,
+/// and fault semantics bit-identical across them.
 pub(crate) fn process_payload(
     shared: &Shared,
     payload: &Payload,
     conn: u64,
     seq: u64,
-    route: impl FnOnce() -> ReplyRoute,
 ) -> RequestAction {
     let action = shared
         .faults
@@ -891,7 +562,6 @@ pub(crate) fn process_payload(
                 tenant,
                 conn,
                 accepted: start,
-                route: route(),
                 truncate: matches!(action, FaultAction::Truncate),
             };
             let mut queue = batcher.queue.lock().expect("batch queue poisoned");
@@ -927,29 +597,6 @@ pub(crate) fn process_payload(
         stop,
         truncate: matches!(action, FaultAction::Truncate),
     }
-}
-
-pub(crate) fn write_reply(
-    writer: &mut TcpStream,
-    codec: CodecKind,
-    reply: &Value,
-) -> std::io::Result<()> {
-    let mut encoded = Vec::new();
-    encode_payload(codec, reply, &mut encoded);
-    writer.write_all(&encoded)?;
-    writer.flush()
-}
-
-/// Writes only the first half of the encoded reply frame, then lets the
-/// caller close the connection: a mid-frame failure on either codec.
-pub(crate) fn write_truncated(
-    writer: &mut TcpStream,
-    codec: CodecKind,
-    reply: &Value,
-) -> std::io::Result<()> {
-    let encoded = truncated_bytes(codec, reply);
-    writer.write_all(&encoded)?;
-    writer.flush()
 }
 
 /// The first half of a reply's encoded frame — what an injected
@@ -1591,69 +1238,21 @@ fn process_drain(shared: &Shared, batch: Vec<Pending>) {
             }
         }
     }
-    // Replies grouped by connection in submission order; one buffered
-    // write + flush per connection per drain (threaded core), or one
-    // completion-queue push + wake for the whole drain (event core).
-    let mut conn_order: Vec<u64> = Vec::new();
-    let mut by_conn: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, p) in batch.iter().enumerate() {
-        if replies[i].is_some() {
-            let slot = by_conn.entry(p.conn).or_default();
-            if slot.is_empty() {
-                conn_order.push(p.conn);
-            }
-            slot.push(i);
-        }
-    }
-    let mut completions: Vec<Completion> = Vec::new();
-    for conn in conn_order {
-        let idxs = &by_conn[&conn];
-        match &batch[idxs[0]].route {
-            ReplyRoute::Direct { writer, codec } => {
-                let mut buf = Vec::new();
-                let mut kill = false;
-                for &i in idxs {
-                    let v = replies[i].as_ref().expect("grouped indices have replies");
-                    if batch[i].truncate {
-                        // The injected mid-frame failure: half the
-                        // encoded reply frame, then the connection
-                        // dies. Later replies for this connection are
-                        // lost with it — their retries hit the replay
-                        // cache.
-                        buf.extend_from_slice(&truncated_bytes(*codec, v));
-                        kill = true;
-                        break;
-                    }
-                    encode_payload(*codec, v, &mut buf);
-                }
-                let writer = Arc::clone(writer);
-                let mut w = writer.lock().expect("writer poisoned");
-                // A dead client is its own problem; the drain keeps
-                // going.
-                let _ = w.write_all(&buf);
-                let _ = w.flush();
-                if kill {
-                    let _ = w.shutdown(Shutdown::Both);
-                }
-            }
-            ReplyRoute::Loop { key } => {
-                for &i in idxs {
-                    let v = replies[i].take().expect("grouped indices have replies");
-                    let truncate = batch[i].truncate;
-                    completions.push(Completion {
-                        key: *key,
-                        reply: v,
-                        truncate,
-                    });
-                    if truncate {
-                        // The loop kills the connection at the cut;
-                        // later replies would hit a dead socket anyway.
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    // Replies go back in submission order with one completion-queue
+    // push + wake for the whole drain. After an injected truncate the
+    // loop drops that connection's later replies: they would hit a dead
+    // socket anyway, and their retries hit the replay cache.
+    let completions: Vec<Completion> = batch
+        .iter()
+        .zip(replies)
+        .filter_map(|(p, reply)| {
+            reply.map(|reply| Completion {
+                key: p.conn,
+                reply,
+                truncate: p.truncate,
+            })
+        })
+        .collect();
     shared.completions.push_all(completions);
     // Deferred duplicates re-enter at the front, in original order, for
     // the next drain.

@@ -766,15 +766,12 @@ fn load_snapshot(path: &Path) -> Result<SnapshotState, String> {
 }
 
 /// Fsyncs a directory so a rename inside it is durable (POSIX requires
-/// syncing the parent; best-effort on platforms where directories
-/// cannot be opened).
+/// syncing the parent). Best-effort: a failure leaves the rename as
+/// durable as the filesystem makes it on its own.
 fn sync_dir(dir: &Path) {
-    #[cfg(unix)]
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-    #[cfg(not(unix))]
-    let _ = dir;
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use mvmodel::fmt as mvfmt;
 use mvrobustness::Allocator;
 use mvservice::{
-    Client, ClientError, CodecKind, Config, CoreKind, FaultPlan, RetryClient, RetryPolicy, Server,
+    Client, ClientError, CodecKind, Config, FaultPlan, RetryClient, RetryPolicy, Server,
 };
 use mvworkloads::SmallBank;
 use std::time::Duration;
@@ -217,33 +217,6 @@ fn binary_codec_serves_identical_assignments_alongside_line_clients() {
     assert!(stats["codec_frame"].as_u64().unwrap() > 0, "{stats}");
 
     frame.shutdown().expect("shutdown");
-    server.join().expect("server thread");
-}
-
-#[test]
-fn threaded_core_serves_the_same_protocol() {
-    let (addr, server) = start_server(Config {
-        addr: "127.0.0.1:0".to_string(),
-        core: CoreKind::Threaded,
-        ..Config::default()
-    });
-    for kind in [CodecKind::Line, CodecKind::Frame] {
-        let mut client = Client::connect_with(addr, kind).expect("connect");
-        client.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        client.ping().expect("ping");
-        let reply = client
-            .register(&format!(
-                "T{}: R[x] W[y]",
-                100 + (kind == CodecKind::Frame) as u32
-            ))
-            .expect("register");
-        assert_eq!(reply["ok"], true);
-    }
-    let mut client = Client::connect(addr).expect("connect");
-    let stats = client.stats().expect("stats");
-    assert!(stats["codec_line"].as_u64().unwrap() > 0);
-    assert!(stats["codec_frame"].as_u64().unwrap() > 0);
-    client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
 
