@@ -281,7 +281,7 @@ fn soak(intensity: &Intensity, events: usize, seed: u64) -> SoakRow {
 }
 
 fn main() {
-    let sweep = Sweep::new("soak_chaos", &["--events", "--seed", "--json"]);
+    let sweep = Sweep::new(&["--events", "--seed", "--json"]);
     let events: usize = sweep.value("--events").unwrap_or(150);
     let seed: u64 = sweep.value("--seed").unwrap_or(0xB11);
 

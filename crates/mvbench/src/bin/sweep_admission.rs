@@ -165,7 +165,7 @@ fn measure_delta(reg: &mut Registry, probe: &[(u32, String)]) -> f64 {
 }
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_admission", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     let set = smallbank_templates();

@@ -12,7 +12,7 @@ use mvrobustness::{is_robust, static_si_robust};
 use std::time::Instant;
 
 fn main() {
-    Sweep::new("sweep_baseline", &[]);
+    Sweep::new(&[]);
     println!("## B8 — static SDG baseline vs exact Algorithm 1 (robustness against A_SI)\n");
     println!("| contention | |T| | cases | both robust | both non-robust | false alarms | sound? | static (s) | exact (s) |");
     println!("|---|---|---|---|---|---|---|---|---|");

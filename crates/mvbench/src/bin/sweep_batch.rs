@@ -169,7 +169,7 @@ fn measure(
 }
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_batch", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     let (events, customers, live) = if smoke {

@@ -114,7 +114,7 @@ fn measure(regime: &'static str, txns: mvmodel::TransactionSet, delta: bool) -> 
 }
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_components", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     // (clusters, per-cluster) for the multi regime; ring size for single.

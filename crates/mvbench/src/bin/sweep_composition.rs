@@ -14,7 +14,7 @@ use mvworkloads::tpcc::Tpcc;
 use mvworkloads::{RandomWorkload, Ycsb, YcsbMix};
 
 fn main() {
-    Sweep::new("sweep_composition", &[]);
+    Sweep::new(&[]);
     println!("## B5a — optimal composition vs Zipf skew (20 txns, 40 objects, 3 seeds avg)\n");
     println!("| θ | %RC | %SI | %SSI | SI-robust | RC-robust |");
     println!("|---|---|---|---|---|---|");

@@ -35,7 +35,9 @@
 //! codecs and *fails* (exit 1, with the reproducing command) when the
 //! binary codec does not beat line-JSON on events/sec at 1k
 //! connections, or when the 10k-connection p99 regresses more than 2×
-//! over 1k on either codec — the CI gate.
+//! over 1k on either codec — the CI gate. Each trial also prints its
+//! drain wait, connect time and rate on stderr, so a failed run shows
+//! whether the host was slow to wake the server (see `run_pair`).
 
 use mvbench::Sweep;
 use mvservice::{encode_payload, Client, CodecKind, Config, FrameBuf, Payload, Server};
@@ -57,7 +59,7 @@ const WINDOW: usize = 1024;
 const TRIALS: usize = 3;
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_conns", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     // 2 fds per connection (client + server end, same process) plus
@@ -254,14 +256,27 @@ fn run_pair(conns: usize, pipeline: usize, events: usize) -> [Cell; 2] {
 
     let window = WINDOW.min(conns);
     let mut best: [Option<(f64, u64)>; 2] = [None, None];
-    for _ in 0..TRIALS {
+    for trial in 1..=TRIALS {
         for (slot, codec) in [CodecKind::Line, CodecKind::Frame].into_iter().enumerate() {
+            let started = Instant::now();
             wait_drained(&handle);
+            let drained = started.elapsed();
             let mut fleet = connect_fleet(addr, conns, codec);
+            let connected = started.elapsed() - drained;
             drive(&mut fleet, window, codec, pipeline, events / 10, &mut None);
             let mut hist = Some([0u64; 64]);
             let elapsed = drive(&mut fleet, window, codec, pipeline, events, &mut hist);
             let rate = events as f64 / elapsed;
+            // A connect phase of whole seconds means the listen queue
+            // overflowed and SYNs waited out the 1 s retransmit: the host
+            // was slow to wake the server thread, and such runs' trial
+            // rates spread widely.
+            eprintln!(
+                "trial {trial} {} {conns} conns: drain {:.2}s, connect {:.2}s, {rate:.0} ev/s",
+                codec.as_str(),
+                drained.as_secs_f64(),
+                connected.as_secs_f64()
+            );
             let p99 = p99_us(&hist.expect("recording trial keeps its histogram"));
             if best[slot].is_none_or(|(r, _)| rate > r) {
                 best[slot] = Some((rate, p99));

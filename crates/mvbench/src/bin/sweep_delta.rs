@@ -19,7 +19,7 @@ use mvrobustness::Allocator;
 use serde_json::{json, Value};
 
 fn main() {
-    let sweep = Sweep::new("sweep_delta", &["--json"]);
+    let sweep = Sweep::new(&["--json"]);
 
     println!("## B10 — delta reallocation vs. full recompute (seconds per reallocation)\n");
     println!("| |T| | full optimal (s) | delta add+remove (s) | per-event speedup | probes/add | cache hits/add |");

@@ -27,7 +27,7 @@ use serde_json::{json, Value};
 use std::num::NonZeroUsize;
 
 fn main() {
-    let sweep = Sweep::new("sweep_engine", &["--json", "--threads"]);
+    let sweep = Sweep::new(&["--json", "--threads"]);
     let threads_override = sweep
         .value::<NonZeroUsize>("--threads")
         .map(NonZeroUsize::get);

@@ -133,7 +133,7 @@ fn measure(
 }
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_exec", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     // The transaction count stays fixed across modes: the mixed-vs-SSI

@@ -149,7 +149,7 @@ fn validate(
 }
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_exec_mt", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     let logical_cpus = std::thread::available_parallelism()

@@ -18,7 +18,7 @@ use mvrobustness::{find_counterexample, is_robust, optimal_allocation, oracle_is
 use std::sync::Arc;
 
 fn main() {
-    Sweep::new("sweep_scaling", &[]);
+    Sweep::new(&[]);
     println!("## B1 — Algorithm 1 scaling in |T| (seconds per call)\n");
     println!("| contention | |T| | robust? | time (s) | log-log slope |");
     println!("|---|---|---|---|---|");

@@ -244,7 +244,7 @@ fn measure_fsync(policy: Durability, lines: &[String]) -> FsyncRow {
 }
 
 fn main() {
-    let mut sweep = Sweep::new("sweep_tenants", &["--json", "--smoke"]);
+    let mut sweep = Sweep::new(&["--json", "--smoke"]);
     let smoke = sweep.smoke();
 
     let (events, customers, counts): (usize, u32, &[usize]) = if smoke {

@@ -38,7 +38,7 @@ fn measure(job_list: &[mvsim::Job], mode: SsiMode) -> (Metrics, u64) {
 }
 
 fn main() {
-    Sweep::new("sweep_throughput", &[]);
+    Sweep::new(&[]);
     println!("## B6a — goodput / abort rate under the allocation ladder ({RUNS} seeds)\n");
     println!("| contention | allocation | goodput | abort rate | serializable runs |");
     println!("|---|---|---|---|---|");

@@ -18,14 +18,15 @@
 use crate::bench_env;
 use serde_json::{json, Value};
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
 
 /// One bench binary's command line, JSON sink and gate state.
 #[derive(Debug)]
 pub struct Sweep {
-    bin: &'static str,
+    /// The binary's name, for usage and repro lines.
+    bin: String,
     /// The arguments as given, for the repro command.
     args: Vec<String>,
     smoke: bool,
@@ -36,24 +37,26 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Parses the process arguments of `bin`, which accepts exactly
-    /// `options`: `--smoke` is a flag, every other entry (`--json`
-    /// included) takes a value. A usage error exits 2. Also installs the
-    /// panic hook that prints the repro command.
-    pub fn new(bin: &'static str, options: &[&str]) -> Sweep {
-        let sweep =
-            Sweep::parse(bin, options, std::env::args().skip(1).collect()).unwrap_or_else(|e| {
-                let usage: String = options
-                    .iter()
-                    .map(|&o| match o {
-                        "--smoke" => " [--smoke]".to_string(),
-                        "--json" => " [--json PATH]".to_string(),
-                        _ => format!(" [{o} N]"),
-                    })
-                    .collect();
-                eprintln!("{bin}: {e}\nusage: {bin}{usage}");
-                std::process::exit(2);
-            });
+    /// Parses the process arguments against `options`, the exact set
+    /// the binary accepts: `--smoke` is a flag, every other entry
+    /// (`--json` included) takes a value. The binary's name is the file
+    /// stem of `argv[0]`. A usage error exits 2. Also installs the panic
+    /// hook that prints the repro command.
+    pub fn new(options: &[&str]) -> Sweep {
+        let mut argv = std::env::args();
+        let bin = bin_name(argv.next());
+        let sweep = Sweep::parse(&bin, options, argv.collect()).unwrap_or_else(|e| {
+            let usage: String = options
+                .iter()
+                .map(|&o| match o {
+                    "--smoke" => " [--smoke]".to_string(),
+                    "--json" => " [--json PATH]".to_string(),
+                    _ => format!(" [{o} N]"),
+                })
+                .collect();
+            eprintln!("{bin}: {e}\nusage: {bin}{usage}");
+            std::process::exit(2);
+        });
         let repro = sweep.repro();
         let default_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -63,11 +66,11 @@ impl Sweep {
         sweep
     }
 
-    /// [`Sweep::new`] without the process: parses `args` against
-    /// `options`.
-    fn parse(bin: &'static str, options: &[&str], args: Vec<String>) -> Result<Sweep, String> {
+    /// [`Sweep::new`] without the process: parses `args` of the binary
+    /// `bin` against `options`.
+    fn parse(bin: &str, options: &[&str], args: Vec<String>) -> Result<Sweep, String> {
         let mut sweep = Sweep {
-            bin,
+            bin: bin.to_string(),
             args: args.clone(),
             smoke: false,
             json: None,
@@ -163,6 +166,18 @@ impl Sweep {
         }
         cmd
     }
+}
+
+/// The file stem of `argv0` (`target/release/sweep_conns` →
+/// `sweep_conns`), the name `cargo run --bin` takes.
+fn bin_name(argv0: Option<String>) -> String {
+    argv0
+        .as_deref()
+        .map(Path::new)
+        .and_then(Path::file_stem)
+        .and_then(|stem| stem.to_str())
+        .unwrap_or("sweep")
+        .to_string()
 }
 
 /// Sets `doc[key]` to `table` stamped with `env`, leaving every other
@@ -271,5 +286,8 @@ mod tests {
         );
         let bare = Sweep::parse("sweep_x", &[], Vec::new()).unwrap();
         assert_eq!(bare.repro(), "cargo run --release -p mvbench --bin sweep_x");
+        // `Sweep::new` names the binary by the file stem of argv[0].
+        assert_eq!(bin_name(Some("target/release/sweep_x".into())), "sweep_x");
+        assert_eq!(bin_name(Some("sweep_x".into())), "sweep_x");
     }
 }
