@@ -2,6 +2,13 @@
 //! Algorithm 2 and the brute-force oracle, and the cost of building and
 //! verifying a counterexample schedule.
 //!
+//! B3's clone-heavy SmallBank rows are gated: for every mix of at most
+//! 512 transactions, Algorithm 1 on the full (uncapped) set must confirm
+//! the clone-capped optimum robust; on the (128, 4) mix every
+//! single-transaction lowering must be refuted, which certifies
+//! optimality (Prop. 4.1(2)); and the 100k row must allocate in under a
+//! second. A failed gate exits 1 with the reproducing command.
+//!
 //! ```sh
 //! cargo run --release -p mvbench --bin sweep_scaling
 //! ```
@@ -14,11 +21,14 @@
 use mvbench::{oracle_workload, time, workload, Contention, Sweep};
 use mvisolation::Allocation;
 use mvrobustness::witness::{materialize, verify_witness};
-use mvrobustness::{find_counterexample, is_robust, optimal_allocation, oracle_is_robust};
+use mvrobustness::{
+    find_counterexample, is_robust, optimal_allocation, oracle_is_robust, CloneCap,
+};
+use mvworkloads::SmallBank;
 use std::sync::Arc;
 
 fn main() {
-    Sweep::new(&[]);
+    let mut sweep = Sweep::new(&[]);
     println!("## B1 — Algorithm 1 scaling in |T| (seconds per call)\n");
     println!("| contention | |T| | robust? | time (s) | log-log slope |");
     println!("|---|---|---|---|---|");
@@ -88,6 +98,37 @@ fn main() {
         }
     }
 
+    println!("\n### B3 — clone-heavy SmallBank mixes (`random_mix(n, customers, 1.1, 0xB18)`)\n");
+    println!("| |T| | customers | capped size | time (s) | composition (RC/SI/SSI) |");
+    println!("|---|---|---|---|---|");
+    for (n, customers) in [(128usize, 4usize), (256, 4), (512, 16), (100_000, 4)] {
+        let txns = SmallBank::random_mix(n, customers, 1.1, 0xB18);
+        let capped = CloneCap::new(&txns).set().len();
+        let alloc = optimal_allocation(&txns);
+        let t = time(|| !optimal_allocation(&txns).is_empty());
+        let (rc, si, ssi) = alloc.counts();
+        println!("| {n} | {customers} | {capped} | {t:.3e} | {rc}/{si}/{ssi} |");
+        if n <= 512 && !is_robust(&txns, &alloc).robust() {
+            sweep.fail(format!(
+                "B3 mix ({n}, {customers}): Algorithm 1 refutes the lifted allocation on the full set"
+            ));
+        }
+        if (n, customers) == (128, 4) {
+            for (t, level) in alloc.iter() {
+                for &lower in level.lower_levels() {
+                    if is_robust(&txns, &alloc.with(t, lower)).robust() {
+                        sweep.fail(format!(
+                            "B3 mix (128, 4): lowering {t} to {lower} stays robust, so the allocation is not optimal"
+                        ));
+                    }
+                }
+            }
+        }
+        if n == 100_000 && t >= 1.0 {
+            sweep.fail(format!("B3 mix (100000, 4) took {t:.2} s (gate: < 1 s)"));
+        }
+    }
+
     println!("\n## B4 — Algorithm 1 vs brute-force oracle (same instances)\n");
     println!("| |T| | ops | algorithm 1 (s) | oracle (s) | ratio |");
     println!("|---|---|---|---|---|");
@@ -122,4 +163,5 @@ fn main() {
         let verify = time(|| verify_witness(&schedule, &si).is_ok());
         println!("| {n} | {find:.3e} | {build:.3e} | {verify:.3e} |");
     }
+    sweep.finish();
 }

@@ -17,6 +17,22 @@
 //! The free functions ([`optimal_allocation`] &c.) keep their original
 //! signatures and delegate to a single-threaded [`Allocator`].
 //!
+//! # Clone capping
+//!
+//! [`Allocator::optimal`], [`Allocator::optimal_rc_si`] and the delta
+//! API solve the set's [`CloneCap`]: transactions with identical
+//! operation sequences form a class, each class is cut to its two
+//! lowest ids, and the solved levels are lifted to every copy. A set is
+//! robust under a class-uniform allocation iff its capped set is, and
+//! the unique optimum is class-uniform (DESIGN.md §S14), so the lifted
+//! optimum is the full set's. The conflict index, the components and
+//! their fingerprints are all built over the capped set. A delta that
+//! leaves the capped classes as they were — a third copy arriving, or
+//! one copy leaving a class of three or more — is answered without a
+//! solve. [`Allocator::optimal_in_box`], [`Allocator::optimal_with_floor`]
+//! and [`Allocator::optimal_explained`] stay uncapped: per-transaction
+//! bounds and reasons would have to join the class key.
+//!
 //! # Online deltas
 //!
 //! [`Allocator::add_txn`] / [`Allocator::remove_txn`] maintain the
@@ -56,6 +72,11 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+mod clones;
+
+pub use clones::CloneCap;
+use clones::{class_members, debug_check_lifted};
 
 /// A failed lowering attempt: the transaction, the level that was
 /// tried, and the counterexample that rejected it.
@@ -306,8 +327,8 @@ impl<'a> Allocator<'a> {
     /// [`Allocator::with_threads`] > 1), and unions the per-component
     /// optima — bit-identical to the unsharded result by the uniqueness
     /// of the optimum (Prop. 4.2) and component locality of split
-    /// schedules. `false` restores the pre-sharding engine exactly
-    /// (`--no-components`).
+    /// schedules. `false` (`--no-components`) solves the whole
+    /// clone-capped set in one refinement.
     pub fn with_components(mut self, on: bool) -> Self {
         self.components = on;
         self
@@ -419,42 +440,40 @@ impl<'a> Allocator<'a> {
         }
     }
 
+    /// The engine settings a solve reads, over the menu `levels`.
+    fn knobs(&self, levels: LevelSet) -> Knobs {
+        Knobs {
+            levels,
+            threads: self.threads,
+            components: self.components,
+            shared: self.shared_cache.clone(),
+        }
+    }
+
+    /// A one-shot solve over `levels` with fresh caches: the clone cap
+    /// of the set solved by [`solve`] and lifted back.
+    fn one_shot(&self, levels: LevelSet) -> (Option<Allocation>, EngineStats) {
+        let start = Instant::now();
+        let cap = CloneCap::new(self.txns());
+        let mut cache = CompCache::new(COMP_CACHE_CAP);
+        let (alloc, stats) = solve(
+            cap.set(),
+            &self.knobs(levels),
+            Warm::default(),
+            &mut Vec::new(),
+            &mut cache,
+            None,
+            start,
+        )
+        .unwrap_or_else(|Expired| unreachable!("no deadline was set"));
+        (alloc.map(|a| cap.lift(a)), stats)
+    }
+
     /// The unique optimal robust allocation over `{RC, SI, SSI}`
     /// (Theorem 4.3), plus the work counters.
     pub fn optimal(&self) -> (Allocation, EngineStats) {
-        let start = Instant::now();
-        if self.components {
-            let mut cache = CompCache::new(COMP_CACHE_CAP);
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns(),
-                LevelSet::RcSiSsi,
-                self.threads,
-                None,
-                &mut cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return (alloc, s.engine_stats(self.threads, 0, start));
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    unreachable!("the all-SSI ceiling is always robust")
-                }
-                Ok(ShardOutcome::Skip) => {}
-                Err(Expired) => unreachable!("no deadline was set"),
-            }
-        }
-        let checker = self.checker();
-        let (alloc, cache) = refine_cached(
-            self.txns(),
-            &checker,
-            Allocation::uniform_ssi(self.txns()),
-            None,
-            &mut |_, _, _| {},
-        );
-        let stats = self.finish(&checker, &cache, start);
-        (alloc, stats)
+        let (alloc, stats) = self.one_shot(LevelSet::RcSiSsi);
+        (alloc.expect("the all-SSI ceiling is always robust"), stats)
     }
 
     /// [`Allocator::optimal`] that also reports, for each lowering
@@ -518,38 +537,7 @@ impl<'a> Allocator<'a> {
     /// or `None` when none exists — i.e. when `𝒜_SI` itself is not
     /// robust (Proposition 5.4).
     pub fn optimal_rc_si(&self) -> (Option<Allocation>, EngineStats) {
-        let start = Instant::now();
-        if self.components {
-            let mut cache = CompCache::new(COMP_CACHE_CAP);
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns(),
-                LevelSet::RcSi,
-                self.threads,
-                None,
-                &mut cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return (Some(alloc), s.engine_stats(self.threads, 0, start));
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    return (None, s.engine_stats(self.threads, 0, start));
-                }
-                Ok(ShardOutcome::Skip) => {}
-                Err(Expired) => unreachable!("no deadline was set"),
-            }
-        }
-        let checker = self.checker();
-        let si = Allocation::uniform_si(self.txns());
-        if !checker.is_robust(&si).robust() {
-            let stats = self.finish(&checker, &CacheStats::default(), start);
-            return (None, stats);
-        }
-        let (alloc, cache) = refine_cached(self.txns(), &checker, si, None, &mut |_, _, _| {});
-        let stats = self.finish(&checker, &cache, start);
-        (Some(alloc), stats)
+        self.one_shot(LevelSet::RcSi)
     }
 
     // ---- Online delta API -------------------------------------------
@@ -601,128 +589,60 @@ impl<'a> Allocator<'a> {
         // The pre-mutation optimum is both the diff baseline and the
         // refinement floor; make sure it exists before mutating.
         self.ensure_current(deadline)?;
+        let prev = self.last.clone().expect("ensure_current fills the cache");
+        let start = Instant::now();
+        // A third copy of a class leaves the capped set's classes as they
+        // were: the newcomer takes its class's level and no other level
+        // moves.
+        if let (2, Some(clone)) = class_members(&self.txns, txn.ops(), 2) {
+            if expired(deadline) {
+                return Err(AllocError::Timeout);
+            }
+            let alloc = prev.with(id, prev.level(clone));
+            self.txns
+                .to_mut()
+                .insert(txn)
+                .map_err(|_: ModelError| AllocError::Duplicate(id))?;
+            debug_check_lifted(&self.txns, &alloc);
+            let stats = self.unsolved_stats(start);
+            return Ok(self.accept(&prev, alloc, stats));
+        }
         self.txns
             .to_mut()
             .insert(txn)
             .map_err(|_: ModelError| AllocError::Duplicate(id))?;
-        let prev = self.last.clone().expect("ensure_current fills the cache");
-        let start = Instant::now();
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return Ok(self.accept_delta(&prev, alloc, start, s));
-                }
-                outcome @ (Ok(ShardOutcome::Unallocatable) | Err(Expired)) => {
-                    // Roll back exactly like the unsharded path below.
-                    self.txns.to_mut().remove(id);
-                    self.specs.retain(|sp| !spec_mentions(sp, id));
-                    return Err(match outcome {
-                        Err(Expired) => AllocError::Timeout,
-                        _ => AllocError::NotAllocatable(self.levels),
-                    });
-                }
-                Ok(ShardOutcome::Skip) => {}
-            }
-        }
-        let ceiling = self.levels.ceiling();
-        let rc_si = self.levels == LevelSet::RcSi;
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let mut hits = 0u64;
-            let floor = prev.with(id, IsolationLevel::RC);
-
-            let outcome = if expired(deadline) {
-                Err(Expired)
-            } else {
-                // Fast path: previous optimum + newcomer at the ceiling.
-                let candidate = prev.with(id, ceiling);
-                let candidate_ok =
-                    probe_cached(txns, &checker, &mut self.specs, &candidate, &mut hits);
-                if candidate_ok {
-                    refine_with(
-                        txns,
-                        &checker,
-                        &mut self.specs,
-                        candidate,
-                        Some(&floor),
-                        deadline,
-                        &mut |_, _, _| {},
-                    )
-                    .map(|(alloc, h)| Some((alloc, hits + h)))
-                } else if expired(deadline) {
-                    Err(Expired)
-                } else {
-                    // Slow path: the old optimum no longer suffices — some
-                    // survivor must rise. Refine from the uniform ceiling
-                    // (robust unconditionally for {RC, SI, SSI}; probed for
-                    // {RC, SI}, where it may fail).
-                    let uniform = Allocation::uniform(txns, ceiling);
-                    let robust = !rc_si
-                        || probe_cached(txns, &checker, &mut self.specs, &uniform, &mut hits);
-                    if robust {
-                        refine_with(
-                            txns,
-                            &checker,
-                            &mut self.specs,
-                            uniform,
-                            Some(&floor),
-                            deadline,
-                            &mut |_, _, _| {},
-                        )
-                        .map(|(alloc, h)| Some((alloc, hits + h)))
-                    } else {
-                        Ok(None)
-                    }
-                }
+        let knobs = self.knobs(self.levels);
+        let outcome = {
+            // The floor and the fast-path start carry over to the capped
+            // set: its optimum is the full set's, restricted.
+            let cap = CloneCap::new(&self.txns);
+            let warm = Warm {
+                start: Some(cap.restrict(&prev.with(id, self.levels.ceiling()))),
+                robust: false,
+                floor: Some(cap.restrict(&prev.with(id, IsolationLevel::RC))),
             };
-            (outcome, snap(&checker))
+            solve(
+                cap.set(),
+                &knobs,
+                warm,
+                &mut self.specs,
+                &mut self.comp_cache,
+                deadline,
+                start,
+            )
+            .map(|(alloc, stats)| (alloc.map(|a| cap.lift(a)), stats))
         };
         match outcome {
-            Ok(Some((alloc, hits))) => {
-                trim_specs(&mut self.specs);
-                let stats = EngineStats {
-                    probes: csnap.probes,
-                    cache_hits: hits,
-                    cached_specs: self.specs.len() as u64,
-                    iso_builds: csnap.iso_builds,
-                    components_checked: csnap.components_checked,
-                    components_cached: csnap.components_cached,
-                    kernel_row_ops: csnap.kernel_row_ops,
-                    batch_events: 0,
-                    batched_components_solved: 0,
-                    threads: self.threads,
-                    wall: start.elapsed(),
-                };
-                let changed = prev.diff(&alloc);
-                self.last = Some(alloc.clone());
-                self.last_stats = Some(stats.clone());
-                Ok(Realloc {
-                    allocation: alloc,
-                    changed,
-                    stats,
-                })
-            }
-            outcome @ (Ok(None) | Err(Expired)) => {
+            Ok((Some(alloc), stats)) => Ok(self.accept(&prev, alloc, stats)),
+            outcome => {
                 // Roll back: the set reverts, specs mentioning the
                 // rejected newcomer would dangle, the old optimum stands.
                 self.txns.to_mut().remove(id);
                 self.specs.retain(|s| !spec_mentions(s, id));
-                match outcome {
-                    Err(Expired) => Err(AllocError::Timeout),
-                    _ => Err(AllocError::NotAllocatable(self.levels)),
-                }
+                Err(match outcome {
+                    Err(Expired) => AllocError::Timeout,
+                    _ => AllocError::NotAllocatable(self.levels),
+                })
             }
         }
     }
@@ -748,14 +668,29 @@ impl<'a> Allocator<'a> {
         id: TxnId,
         deadline: Option<Instant>,
     ) -> Result<Realloc, AllocError> {
-        if !self.txns.contains(id) {
+        let Some(txn) = self.txns.get(id) else {
             return Err(AllocError::Unknown(id));
+        };
+        // One copy leaving a class of three or more leaves the capped
+        // set's classes as they were: no other level moves.
+        let shortcut = class_members(&self.txns, txn.ops(), 3).0 == 3;
+        if let Some(prev) = self.last.as_ref().filter(|_| shortcut).cloned() {
+            if expired(deadline) {
+                return Err(AllocError::Timeout);
+            }
+            self.txns.to_mut().remove(id);
+            self.specs.retain(|s| !spec_mentions(s, id));
+            let mut alloc = prev.clone();
+            alloc.remove(id);
+            debug_check_lifted(&self.txns, &alloc);
+            let stats = self.unsolved_stats(Instant::now());
+            return Ok(self.accept(&prev, alloc, stats));
         }
         let removed = self
             .txns
             .to_mut()
             .remove(id)
-            .expect("contains(id) checked above");
+            .expect("get(id) checked above");
         // Specs mentioning the departed transaction reference ids and op
         // indices that no longer resolve — drop them. Every other cached
         // spec only touches surviving transactions and stays sound.
@@ -792,85 +727,47 @@ impl<'a> Allocator<'a> {
             });
         };
         let start = Instant::now();
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    return Ok(self.accept_delta(&prev, alloc, start, s));
-                }
-                Err(Expired) => {
-                    self.txns
-                        .to_mut()
-                        .insert(removed)
-                        .expect("re-inserting the just-removed transaction");
-                    return Err(AllocError::Timeout);
-                }
-                // Shrinking a workload cannot make it less allocatable,
-                // and `prev` existed — Unallocatable is unreachable here;
-                // fall through to the unsharded path defensively.
-                Ok(ShardOutcome::Skip | ShardOutcome::Unallocatable) => {}
-            }
-        }
-        let mut reduced = prev.clone();
-        reduced.remove(id);
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let outcome = refine_with(
-                txns,
-                &checker,
+        let knobs = self.knobs(self.levels);
+        let outcome = {
+            // The old optimum restricted to any subset of the old set is
+            // robust, so the capped set's refinement starts there
+            // without a probe.
+            let cap = CloneCap::new(&self.txns);
+            let mut reduced = prev.clone();
+            reduced.remove(id);
+            let warm = Warm {
+                start: Some(cap.restrict(&reduced)),
+                robust: true,
+                floor: None,
+            };
+            solve(
+                cap.set(),
+                &knobs,
+                warm,
                 &mut self.specs,
-                reduced,
-                None,
+                &mut self.comp_cache,
                 deadline,
-                &mut |_, _, _| {},
-            );
-            (outcome, snap(&checker))
+                start,
+            )
+            .map(|(alloc, stats)| (alloc.map(|a| cap.lift(a)), stats))
         };
-        let (alloc, hits) = match outcome {
-            Ok(pair) => pair,
-            Err(Expired) => {
+        match outcome {
+            Ok((Some(alloc), stats)) => Ok(self.accept(&prev, alloc, stats)),
+            outcome => {
                 // Roll back: re-insert the transaction; `prev` is still
-                // the optimum of the restored set.
+                // the optimum of the restored set. (Shrinking an
+                // allocatable workload keeps it allocatable, so only a
+                // deadline gets here.)
                 self.txns
                     .to_mut()
                     .insert(removed)
                     .expect("re-inserting the just-removed transaction");
-                return Err(AllocError::Timeout);
+                Err(match outcome {
+                    Err(Expired) => AllocError::Timeout,
+                    _ => AllocError::NotAllocatable(self.levels),
+                })
             }
-        };
-        trim_specs(&mut self.specs);
-        let stats = EngineStats {
-            probes: csnap.probes,
-            cache_hits: hits,
-            cached_specs: self.specs.len() as u64,
-            iso_builds: csnap.iso_builds,
-            components_checked: csnap.components_checked,
-            components_cached: csnap.components_cached,
-            kernel_row_ops: csnap.kernel_row_ops,
-            batch_events: 0,
-            batched_components_solved: 0,
-            threads: self.threads,
-            wall: start.elapsed(),
-        };
-        let changed = prev.diff(&alloc);
-        self.last = Some(alloc.clone());
-        self.last_stats = Some(stats.clone());
-        Ok(Realloc {
-            allocation: alloc,
-            changed,
-            stats,
-        })
+        }
     }
 
     /// Applies a coalesced batch of membership mutations with **one**
@@ -925,12 +822,7 @@ impl<'a> Allocator<'a> {
         let prev = self.last.clone().expect("ensure_current fills the cache");
         let start = Instant::now();
         if events.is_empty() {
-            let stats = EngineStats {
-                cached_specs: self.specs.len() as u64,
-                threads: self.threads,
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            };
+            let stats = self.unsolved_stats(start);
             return Ok(BatchRealloc {
                 allocation: prev,
                 outcomes: Vec::new(),
@@ -953,6 +845,11 @@ impl<'a> Allocator<'a> {
         // later Add brought the id back: cached specs mention the *old*
         // transaction's operations and must not survive.
         let mut removed_ids: Vec<TxnId> = Vec::new();
+        // The answer while every event leaves the capped set's classes
+        // as they were (a third copy arriving, or one copy leaving a
+        // class of three or more): the levels as they stand, a newcomer
+        // at its class's level.
+        let mut unchanged = Some(prev.clone());
         {
             let set = self.txns.to_mut();
             for ev in events {
@@ -961,20 +858,34 @@ impl<'a> Allocator<'a> {
                         let id = txn.id();
                         if set.contains(id) {
                             outcomes.push(Err(AllocError::Duplicate(id)));
-                        } else {
-                            set.insert(txn).expect("contains(id) checked above");
-                            added.push(id);
-                            outcomes.push(Ok(()));
+                            continue;
                         }
+                        if let Some(a) = unchanged.as_mut() {
+                            match class_members(set, txn.ops(), 2) {
+                                (2, Some(clone)) => a.set(id, a.level(clone)),
+                                _ => unchanged = None,
+                            }
+                        }
+                        set.insert(txn).expect("contains(id) checked above");
+                        added.push(id);
+                        outcomes.push(Ok(()));
                     }
                     DeltaEvent::Remove(id) => {
-                        if set.remove(id).is_some() {
-                            added.retain(|&a| a != id);
-                            removed_ids.push(id);
-                            outcomes.push(Ok(()));
-                        } else {
+                        let Some(txn) = set.get(id) else {
                             outcomes.push(Err(AllocError::Unknown(id)));
+                            continue;
+                        };
+                        if let Some(a) = unchanged.as_mut() {
+                            if class_members(set, txn.ops(), 3).0 == 3 {
+                                a.remove(id);
+                            } else {
+                                unchanged = None;
+                            }
                         }
+                        set.remove(id);
+                        added.retain(|&a| a != id);
+                        removed_ids.push(id);
+                        outcomes.push(Ok(()));
                     }
                 }
             }
@@ -985,65 +896,32 @@ impl<'a> Allocator<'a> {
             self.specs
                 .retain(|s| !removed_ids.iter().any(|&id| spec_mentions(s, id)));
         }
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    let mut stats = s.engine_stats(self.threads, self.specs.len() as u64, start);
-                    stats.batch_events = n_events;
-                    stats.batched_components_solved = s.checked;
-                    let changed = prev.diff(&alloc);
-                    self.last = Some(alloc.clone());
-                    self.last_stats = Some(stats.clone());
-                    return Ok(BatchRealloc {
-                        allocation: alloc,
-                        outcomes,
-                        changed,
-                        stats,
-                    });
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    unreachable!("the all-SSI ceiling is always robust")
-                }
-                Err(Expired) => return Err(self.rollback_batch(saved, &touched)),
-                Ok(ShardOutcome::Skip) => {}
+        let outcome = match unchanged {
+            Some(_) if expired(deadline) => Err(Expired),
+            Some(alloc) => {
+                debug_check_lifted(&self.txns, &alloc);
+                Ok((Some(alloc), self.unsolved_stats(start)))
             }
-        }
-        let ceiling = self.levels.ceiling();
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let mut hits = 0u64;
-            // Adds only raise levels (Proposition 4.1), so with no
-            // successful remove the pre-batch optimum extended with the
-            // newcomers at RC bounds the new optimum from below.
-            let floor = if removed_ids.is_empty() {
-                Some(
-                    added
-                        .iter()
-                        .fold(prev.clone(), |a, &id| a.with(id, IsolationLevel::RC)),
-                )
-            } else {
-                None
-            };
-            let outcome = if expired(deadline) {
-                Err(Expired)
-            } else {
+            None => {
+                let ceiling = self.levels.ceiling();
+                let knobs = self.knobs(self.levels);
+                let cap = CloneCap::new(&self.txns);
+                // Adds only raise levels (Proposition 4.1), so with no
+                // successful remove the pre-batch optimum extended with
+                // the newcomers at RC bounds the new optimum from below.
+                let floor = removed_ids.is_empty().then(|| {
+                    cap.restrict(
+                        &added
+                            .iter()
+                            .fold(prev.clone(), |a, &id| a.with(id, IsolationLevel::RC)),
+                    )
+                });
                 // Fast path: previous optimum restricted to the
                 // survivors, newcomers at the ceiling. When robust it
                 // dominates the new optimum (the pointwise-least robust
                 // allocation), so refining from it reaches the exact
-                // from-scratch optimum.
+                // from-scratch optimum; otherwise refinement starts from
+                // the uniform ceiling.
                 let mut candidate = prev.clone();
                 for &id in &removed_ids {
                     candidate.remove(id);
@@ -1051,50 +929,27 @@ impl<'a> Allocator<'a> {
                 for &id in &added {
                     candidate.set(id, ceiling);
                 }
-                let candidate_ok =
-                    probe_cached(txns, &checker, &mut self.specs, &candidate, &mut hits);
-                let start_alloc = if candidate_ok {
-                    Some(candidate)
-                } else if expired(deadline) {
-                    None
-                } else {
-                    // Slow path: some survivor must rise — refine from
-                    // the uniform ceiling (robust unconditionally over
-                    // {RC, SI, SSI}).
-                    Some(Allocation::uniform(txns, ceiling))
+                let warm = Warm {
+                    start: Some(cap.restrict(&candidate)),
+                    robust: false,
+                    floor,
                 };
-                match start_alloc {
-                    None => Err(Expired),
-                    Some(a) => refine_with(
-                        txns,
-                        &checker,
-                        &mut self.specs,
-                        a,
-                        floor.as_ref(),
-                        deadline,
-                        &mut |_, _, _| {},
-                    )
-                    .map(|(alloc, h)| (alloc, hits + h)),
-                }
-            };
-            (outcome, snap(&checker))
+                solve(
+                    cap.set(),
+                    &knobs,
+                    warm,
+                    &mut self.specs,
+                    &mut self.comp_cache,
+                    deadline,
+                    start,
+                )
+                .map(|(alloc, stats)| (alloc.map(|a| cap.lift(a)), stats))
+            }
         };
         match outcome {
-            Ok((alloc, hits)) => {
-                trim_specs(&mut self.specs);
-                let stats = EngineStats {
-                    probes: csnap.probes,
-                    cache_hits: hits,
-                    cached_specs: self.specs.len() as u64,
-                    iso_builds: csnap.iso_builds,
-                    components_checked: csnap.components_checked,
-                    components_cached: csnap.components_cached,
-                    kernel_row_ops: csnap.kernel_row_ops,
-                    batch_events: n_events,
-                    batched_components_solved: 0,
-                    threads: self.threads,
-                    wall: start.elapsed(),
-                };
+            Ok((Some(alloc), mut stats)) => {
+                stats.batch_events = n_events;
+                stats.batched_components_solved = stats.components_checked;
                 let changed = prev.diff(&alloc);
                 self.last = Some(alloc.clone());
                 self.last_stats = Some(stats.clone());
@@ -1105,6 +960,7 @@ impl<'a> Allocator<'a> {
                     stats,
                 })
             }
+            Ok((None, _)) => unreachable!("the all-SSI ceiling is always robust"),
             Err(Expired) => Err(self.rollback_batch(saved, &touched)),
         }
     }
@@ -1189,16 +1045,9 @@ impl<'a> Allocator<'a> {
         AllocError::Timeout
     }
 
-    /// Installs a sharded delta result: builds the stats, diffs against
-    /// the pre-mutation optimum, and updates the cached optimum.
-    fn accept_delta(
-        &mut self,
-        prev: &Allocation,
-        alloc: Allocation,
-        start: Instant,
-        s: ShardStats,
-    ) -> Realloc {
-        let stats = s.engine_stats(self.threads, self.specs.len() as u64, start);
+    /// Installs a delta result: diffs against the pre-mutation optimum
+    /// and updates the cached optimum and stats.
+    fn accept(&mut self, prev: &Allocation, alloc: Allocation, stats: EngineStats) -> Realloc {
         let changed = prev.diff(&alloc);
         self.last = Some(alloc.clone());
         self.last_stats = Some(stats.clone());
@@ -1206,6 +1055,16 @@ impl<'a> Allocator<'a> {
             allocation: alloc,
             changed,
             stats,
+        }
+    }
+
+    /// The stats of a delta answered without a solve.
+    fn unsolved_stats(&self, start: Instant) -> EngineStats {
+        EngineStats {
+            cached_specs: self.specs.len() as u64,
+            threads: self.threads,
+            wall: start.elapsed(),
+            ..EngineStats::default()
         }
     }
 
@@ -1217,86 +1076,143 @@ impl<'a> Allocator<'a> {
             return Ok(());
         }
         let start = Instant::now();
-        if self.components {
-            let mut s = ShardStats::default();
-            match shard_optimal(
-                self.txns.as_ref(),
-                self.levels,
-                self.threads,
-                deadline,
-                &mut self.comp_cache,
-                self.shared_cache.as_deref(),
-                &mut s,
-            ) {
-                Ok(ShardOutcome::Solved(alloc)) => {
-                    self.last_stats =
-                        Some(s.engine_stats(self.threads, self.specs.len() as u64, start));
-                    self.last = Some(alloc);
-                    return Ok(());
-                }
-                Ok(ShardOutcome::Unallocatable) => {
-                    return Err(AllocError::NotAllocatable(self.levels));
-                }
-                Err(Expired) => return Err(AllocError::Timeout),
-                Ok(ShardOutcome::Skip) => {}
-            }
-        }
-        let rc_si = self.levels == LevelSet::RcSi;
-        let ceiling = self.levels.ceiling();
-        let (outcome, csnap) = {
-            let txns: &TransactionSet = &self.txns;
-            let checker = RobustnessChecker::new(txns)
-                .with_threads(self.threads)
-                .with_components(self.components);
-            let mut hits = 0u64;
-            let uniform = Allocation::uniform(txns, ceiling);
-            let outcome = if expired(deadline) {
-                Err(Expired)
-            } else {
-                // The SSI ceiling is robust unconditionally; the SI
-                // ceiling must be probed (Proposition 5.4).
-                let robust =
-                    !rc_si || probe_cached(txns, &checker, &mut self.specs, &uniform, &mut hits);
-                if robust {
-                    refine_with(
-                        txns,
-                        &checker,
-                        &mut self.specs,
-                        uniform,
-                        None,
-                        deadline,
-                        &mut |_, _, _| {},
-                    )
-                    .map(|(alloc, h)| Some((alloc, hits + h)))
-                } else {
-                    Ok(None)
-                }
-            };
-            (outcome, snap(&checker))
-        };
-        trim_specs(&mut self.specs);
-        match outcome {
-            Ok(Some((alloc, hits))) => {
-                self.last_stats = Some(EngineStats {
-                    probes: csnap.probes,
-                    cache_hits: hits,
-                    cached_specs: self.specs.len() as u64,
-                    iso_builds: csnap.iso_builds,
-                    components_checked: csnap.components_checked,
-                    components_cached: csnap.components_cached,
-                    kernel_row_ops: csnap.kernel_row_ops,
-                    batch_events: 0,
-                    batched_components_solved: 0,
-                    threads: self.threads,
-                    wall: start.elapsed(),
-                });
-                self.last = Some(alloc);
+        let knobs = self.knobs(self.levels);
+        let cap = CloneCap::new(&self.txns);
+        match solve(
+            cap.set(),
+            &knobs,
+            Warm::default(),
+            &mut self.specs,
+            &mut self.comp_cache,
+            deadline,
+            start,
+        ) {
+            Ok((Some(alloc), stats)) => {
+                self.last = Some(cap.lift(alloc));
+                self.last_stats = Some(stats);
                 Ok(())
             }
-            Ok(None) => Err(AllocError::NotAllocatable(self.levels)),
+            Ok((None, _)) => Err(AllocError::NotAllocatable(self.levels)),
             Err(Expired) => Err(AllocError::Timeout),
         }
     }
+}
+
+/// The engine settings one solve reads.
+struct Knobs {
+    levels: LevelSet,
+    threads: usize,
+    components: bool,
+    shared: Option<Arc<SharedCompCache>>,
+}
+
+/// Where the refinement of a single-component set starts: the delta
+/// paths' warm start (Proposition 4.1). Allocations range over the
+/// capped set.
+#[derive(Default)]
+struct Warm {
+    /// A start that dominates the new optimum whenever it is robust.
+    start: Option<Allocation>,
+    /// `start` is robust by construction (a removal's restriction), so
+    /// it needs no probe.
+    robust: bool,
+    /// Levels the new optimum cannot fall below.
+    floor: Option<Allocation>,
+}
+
+/// Algorithm 2 over a clone-capped set ([`CloneCap::set`]): the sharded
+/// engine when the set has two or more conflict components, else one
+/// refinement from `warm`. `Ok(None)` means no robust allocation exists
+/// over the menu (only possible for [`LevelSet::RcSi`], Proposition
+/// 5.4). `specs` is the caller's persistent counterexample cache; specs
+/// that mention a transaction outside `txns` are dropped first.
+fn solve(
+    txns: &TransactionSet,
+    knobs: &Knobs,
+    warm: Warm,
+    specs: &mut Vec<SplitSpec>,
+    cache: &mut CompCache,
+    deadline: Option<Instant>,
+    start: Instant,
+) -> Result<(Option<Allocation>, EngineStats), Expired> {
+    let Knobs {
+        levels, threads, ..
+    } = *knobs;
+    specs.retain(|s| txns.contains(s.t1) && s.chain.iter().all(|&c| txns.contains(c)));
+    if knobs.components {
+        let mut s = ShardStats::default();
+        let shared = knobs.shared.as_deref();
+        let outcome = shard_optimal(txns, levels, threads, deadline, cache, shared, &mut s)?;
+        let alloc = match outcome {
+            ShardOutcome::Solved(alloc) => Some(alloc),
+            ShardOutcome::Unallocatable => None,
+            ShardOutcome::Skip => return refine_one(txns, knobs, warm, specs, deadline, start),
+        };
+        return Ok((alloc, s.engine_stats(threads, specs.len() as u64, start)));
+    }
+    refine_one(txns, knobs, warm, specs, deadline, start)
+}
+
+/// The single-component half of [`solve`]: refines from `warm.start`
+/// when it is robust, else from the menu's uniform ceiling (robust
+/// unconditionally for `{RC, SI, SSI}`; probed for `{RC, SI}`, where it
+/// may fail).
+fn refine_one(
+    txns: &TransactionSet,
+    knobs: &Knobs,
+    warm: Warm,
+    specs: &mut Vec<SplitSpec>,
+    deadline: Option<Instant>,
+    start: Instant,
+) -> Result<(Option<Allocation>, EngineStats), Expired> {
+    let checker = RobustnessChecker::new(txns)
+        .with_threads(knobs.threads)
+        .with_components(knobs.components);
+    if expired(deadline) {
+        return Err(Expired);
+    }
+    let mut hits = 0u64;
+    let from = match warm.start {
+        Some(a) if warm.robust || probe_cached(txns, &checker, specs, &a, &mut hits) => Some(a),
+        _ if expired(deadline) => return Err(Expired),
+        _ => {
+            let uniform = Allocation::uniform(txns, knobs.levels.ceiling());
+            let robust = knobs.levels == LevelSet::RcSiSsi
+                || probe_cached(txns, &checker, specs, &uniform, &mut hits);
+            robust.then_some(uniform)
+        }
+    };
+    let alloc = match from {
+        Some(from) => {
+            let (alloc, h) = refine_with(
+                txns,
+                &checker,
+                specs,
+                from,
+                warm.floor.as_ref(),
+                deadline,
+                &mut |_, _, _| {},
+            )?;
+            hits += h;
+            Some(alloc)
+        }
+        None => None,
+    };
+    trim_specs(specs);
+    let stats = EngineStats {
+        probes: checker.stats().probes(),
+        cache_hits: hits,
+        cached_specs: specs.len() as u64,
+        iso_builds: checker.stats().iso_builds(),
+        components_checked: checker.stats().components_checked(),
+        components_cached: checker.stats().components_cached(),
+        kernel_row_ops: checker.stats().kernel_row_ops(),
+        batch_events: 0,
+        batched_components_solved: 0,
+        threads: knobs.threads,
+        wall: start.elapsed(),
+    };
+    Ok((alloc, stats))
 }
 
 /// Work counters of a sharded allocation run (summed over components).
@@ -1545,26 +1461,6 @@ fn shard_optimal(
         return Ok(ShardOutcome::Unallocatable);
     }
     Ok(ShardOutcome::Solved(Allocation::from_pairs(pairs)))
-}
-
-/// Work counters read off a [`RobustnessChecker`] after a run (the
-/// checker is dropped inside the borrow scope; this outlives it).
-struct CheckerSnap {
-    probes: u64,
-    iso_builds: u64,
-    components_checked: u64,
-    components_cached: u64,
-    kernel_row_ops: u64,
-}
-
-fn snap(checker: &RobustnessChecker<'_>) -> CheckerSnap {
-    CheckerSnap {
-        probes: checker.stats().probes(),
-        iso_builds: checker.stats().iso_builds(),
-        components_checked: checker.stats().components_checked(),
-        components_cached: checker.stats().components_cached(),
-        kernel_row_ops: checker.stats().kernel_row_ops(),
-    }
 }
 
 /// Marker: a refinement deadline expired mid-loop.

@@ -13,7 +13,9 @@
 //!   yet not conflict-serializable (the constructive (2)→(1) direction of
 //!   Theorem 3.2).
 //! - [`allocate`]: Algorithm 2 — the unique optimal robust allocation over
-//!   `{RC, SI, SSI}` (Propositions 4.1–4.2, Theorem 4.3).
+//!   `{RC, SI, SSI}` (Propositions 4.1–4.2, Theorem 4.3), solved on the
+//!   [`CloneCap`] of the set (each class of identical transactions cut to
+//!   two copies) and lifted to every copy.
 //! - [`rc_si`]: the Oracle-style restriction to `{RC, SI}` (Propositions
 //!   5.1/5.4, Theorem 5.5).
 //! - [`oracle`]: a brute-force ground-truth decision procedure that
@@ -53,8 +55,8 @@ pub use algorithm1::{
 };
 pub use allocate::{
     optimal_allocation, optimal_allocation_explained, optimal_allocation_in_box,
-    optimal_allocation_with_floor, AllocError, Allocator, BatchRealloc, DeltaEvent, LevelSet,
-    ParseLevelSetError, Realloc,
+    optimal_allocation_with_floor, AllocError, Allocator, BatchRealloc, CloneCap, DeltaEvent,
+    LevelSet, ParseLevelSetError, Realloc,
 };
 pub use components::{CompEntry, Components, SharedCompCache};
 pub use conflict_index::ConflictIndex;
@@ -63,7 +65,9 @@ pub use oracle::{
     AnomalyMismatch, TraceError, TraceVerdict,
 };
 pub use rc_si::{optimal_allocation_rc_si, robustly_allocatable_rc_si};
-pub use reference::{optimal_allocation_reference, ReferenceChecker};
+pub use reference::{
+    optimal_allocation_rc_si_reference, optimal_allocation_reference, ReferenceChecker,
+};
 pub use sdg::{static_si_robust, StaticVerdict};
 pub use split_schedule::SplitSpec;
 pub use stats::EngineStats;

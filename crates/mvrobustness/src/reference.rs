@@ -118,6 +118,24 @@ pub fn optimal_allocation_reference(txns: &TransactionSet) -> Allocation {
     alloc
 }
 
+/// Pre-engine `{RC, SI}` Algorithm 2: `None` when `𝒜_SI` is not robust
+/// (Proposition 5.4), else greedy refinement from it with a fresh full
+/// probe per lowering attempt (Theorem 5.5).
+pub fn optimal_allocation_rc_si_reference(txns: &TransactionSet) -> Option<Allocation> {
+    let checker = ReferenceChecker::new(txns);
+    let mut alloc = Allocation::uniform_si(txns);
+    if !checker.is_robust(&alloc) {
+        return None;
+    }
+    for t in txns.ids() {
+        let candidate = alloc.with(t, IsolationLevel::RC);
+        if checker.is_robust(&candidate) {
+            alloc = candidate;
+        }
+    }
+    Some(alloc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,11 +14,22 @@
 //! - a deadline that expires mid-batch rolls the *whole* batch back:
 //!   the pre-batch set and optimum keep being served (the registry's
 //!   last-known-good degradation story), and re-applying the same
-//!   batch without the fault converges to the true optimum.
+//!   batch without the fault converges to the true optimum;
+//! - on clone-heavy scripts, classes move across one, two and three
+//!   copies inside and across batches, with forced-timeout batches
+//!   among them.
+//!
+//! The from-scratch optimum is the never-capped reference
+//! (`optimal_allocation_reference` and its `{RC, SI}` counterpart), so
+//! the engine's clone cap is checked against an implementation without
+//! one.
 
 use mvisolation::Allocation;
 use mvmodel::{Op, Transaction, TransactionSet, TxnId};
-use mvrobustness::{AllocError, Allocator, DeltaEvent, LevelSet};
+use mvrobustness::{
+    optimal_allocation_rc_si_reference, optimal_allocation_reference, AllocError, Allocator,
+    DeltaEvent, LevelSet,
+};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -91,14 +102,12 @@ fn random_chunks(rng: &mut SmallRng, events: Vec<DeltaEvent>) -> Vec<Vec<DeltaEv
     chunks
 }
 
-/// The from-scratch optimum of `txns` over `levels`, by the
-/// *monolithic* engine — an independent implementation of what every
-/// batch must produce.
+/// The from-scratch optimum of `txns` over `levels`, by the never-capped
+/// reference implementation.
 fn full_recompute(txns: &TransactionSet, levels: LevelSet) -> Option<Allocation> {
-    let full = Allocator::new(txns).with_components(false);
     match levels {
-        LevelSet::RcSiSsi => Some(full.optimal().0),
-        LevelSet::RcSi => full.optimal_rc_si().0,
+        LevelSet::RcSiSsi => Some(optimal_allocation_reference(txns)),
+        LevelSet::RcSi => optimal_allocation_rc_si_reference(txns),
     }
 }
 
@@ -283,5 +292,128 @@ fn expired_deadline_rolls_back_the_whole_batch() {
             full_recompute(alloc.txns(), levels).expect("post-batch set is allocatable"),
             "{levels}: post-recovery optimum diverged from monolithic recomputation"
         );
+    }
+}
+
+/// A clone-heavy event script: every transaction is a copy of one of
+/// three distinct random programs over objects 0–2, or of `R[3] W[3]`, a
+/// lost update on an object of its own (two copies need SI, one runs at
+/// RC). The script keeps each class between zero and four copies, so
+/// batches move classes across one, two and three copies (and a batch
+/// of only third-copy arrivals and departures is answered without a
+/// solve). Duplicate adds and unknown removes ride along.
+fn clone_events(rng: &mut SmallRng, n: usize) -> Vec<DeltaEvent> {
+    let mut programs: Vec<Vec<Op>> = Vec::new();
+    while programs.len() < 3 {
+        let ops = random_txn(rng, 0, 3).ops().to_vec();
+        if !programs.contains(&ops) {
+            programs.push(ops);
+        }
+    }
+    let x = mvmodel::Object(3);
+    programs.push(vec![Op::read(x), Op::write(x)]);
+    let mut copies: Vec<Vec<u32>> = vec![Vec::new(); programs.len()];
+    let mut next_id = 1u32;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        let p = rng.random_range(0..programs.len());
+        let k = copies[p].len();
+        let roll = rng.random_range(0..100u32);
+        if roll < 6 && k > 0 {
+            let id = copies[p][0];
+            events.push(DeltaEvent::Add(
+                Transaction::new(TxnId(id), programs[p].clone()).unwrap(),
+            ));
+        } else if roll < 10 {
+            events.push(DeltaEvent::Remove(TxnId(next_id + 500)));
+        } else if k == 0 || (k < 4 && roll < 62) {
+            let id = next_id;
+            next_id += 1;
+            events.push(DeltaEvent::Add(
+                Transaction::new(TxnId(id), programs[p].clone()).unwrap(),
+            ));
+            copies[p].push(id);
+        } else {
+            let id = copies[p].remove(rng.random_range(0..k));
+            events.push(DeltaEvent::Remove(TxnId(id)));
+        }
+    }
+    events
+}
+
+/// Replays a clone-heavy script in random batches, issuing about one
+/// batch in five first against an expired deadline: it must fail with
+/// [`AllocError::Timeout`] and leave the set and optimum untouched.
+/// Verdicts and the final optimum must equal the sequential delta API,
+/// and every batch's optimum the reference optimum.
+fn check_clone_batches(seed: u64, levels: LevelSet, components: bool) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let events = clone_events(&mut rng, 60);
+    let (expected_verdicts, expected_final) = sequential_baseline(&events, levels);
+    let chunks = random_chunks(&mut rng, events);
+    let mut alloc = Allocator::from_owned(TransactionSet::default())
+        .with_levels(levels)
+        .with_components(components);
+    let mut prev = alloc.current().expect("empty set is allocatable").clone();
+    let mut verdicts = Vec::new();
+    let (mut timeouts, mut unsolved) = (0, 0);
+    for (k, chunk) in chunks.into_iter().enumerate() {
+        let ctx = |what: &str| format!("seed {seed:#x} batch {k} ({levels}): {what}");
+        if rng.random_bool(0.2) {
+            let before = alloc.txns().clone();
+            let err = alloc
+                .apply_batch_by(chunk.clone(), Some(Instant::now()))
+                .expect_err("an expired deadline must reject the batch");
+            assert_eq!(err, AllocError::Timeout, "{}", ctx("forced timeout"));
+            assert_eq!(alloc.txns(), &before, "{}", ctx("timed-out set"));
+            assert_eq!(
+                alloc.current().unwrap(),
+                &prev,
+                "{}",
+                ctx("timed-out optimum")
+            );
+            timeouts += 1;
+        }
+        let batch = alloc
+            .apply_batch(chunk)
+            .expect("no deadline is configured, so batches never time out");
+        assert_eq!(
+            batch.changed,
+            prev.diff(&batch.allocation),
+            "{}",
+            ctx("diff")
+        );
+        let expected = full_recompute(alloc.txns(), levels)
+            .expect("batch reported success, so the surviving set is allocatable");
+        assert_eq!(
+            batch.allocation,
+            expected,
+            "{}\n{}",
+            ctx("batched optimum diverged from the reference"),
+            mvmodel::fmt::transaction_set(alloc.txns())
+        );
+        let s = &batch.stats;
+        unsolved += usize::from(
+            batch.accepted() > 0
+                && s.probes + s.cache_hits + s.components_checked + s.components_cached == 0,
+        );
+        prev = batch.allocation;
+        verdicts.extend(batch.outcomes);
+    }
+    assert!(timeouts > 0, "seed {seed:#x}: no forced timeout");
+    assert!(
+        unsolved > 0,
+        "seed {seed:#x}: no batch was answered without a solve"
+    );
+    assert_eq!(verdicts, expected_verdicts, "seed {seed:#x}: verdicts");
+    assert_eq!(prev, expected_final, "seed {seed:#x}: final optimum");
+}
+
+#[test]
+fn clone_heavy_batches_equal_sequential_and_reference() {
+    for seed in [0xBA7C80051u64, 0xBA7C80052, 0xBA7C80053] {
+        check_clone_batches(seed, LevelSet::RcSiSsi, true);
+        check_clone_batches(seed, LevelSet::RcSiSsi, false);
+        check_clone_batches(seed, LevelSet::RcSi, true);
     }
 }

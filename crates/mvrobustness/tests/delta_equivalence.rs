@@ -11,13 +11,25 @@
 //!   recomputation of the attempted set indeed has no robust allocation;
 //! - the reported `changed` list is exactly the diff of the previous and
 //!   new optimum;
-//! - the thread count of the delta allocator does not affect results.
+//! - the thread count of the delta allocator does not affect results;
+//! - on clone-heavy scripts, classes move across one, two and three
+//!   copies (a third copy and its departure are answered without a
+//!   solve), and forced timeouts roll back every kind of mutation.
+//!
+//! The from-scratch optimum is the never-capped reference
+//! (`optimal_allocation_reference` and its `{RC, SI}` counterpart), so
+//! the engine's clone cap is checked against an implementation without
+//! one.
 
 use mvisolation::Allocation;
 use mvmodel::{Op, Transaction, TransactionSet, TxnId};
-use mvrobustness::{AllocError, Allocator, LevelSet, Realloc};
+use mvrobustness::{
+    optimal_allocation_rc_si_reference, optimal_allocation_reference, AllocError, Allocator,
+    LevelSet, Realloc,
+};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::time::Instant;
 
 /// A random transaction of 1..=`max_ops` distinct operations over
 /// `n_objects` shared objects, interned against `set`.
@@ -47,14 +59,12 @@ fn random_txn(
     Transaction::new(TxnId(id), ops).expect("generator avoids duplicate operations")
 }
 
-/// The from-scratch optimum of `txns` over `levels` — computed by the
-/// *monolithic* engine, so the component-sharded delta paths are always
-/// checked against an independent implementation.
+/// The from-scratch optimum of `txns` over `levels`, by the never-capped
+/// reference implementation.
 fn full_recompute(txns: &TransactionSet, levels: LevelSet) -> Option<Allocation> {
-    let full = Allocator::new(txns).with_components(false);
     match levels {
-        LevelSet::RcSiSsi => Some(full.optimal().0),
-        LevelSet::RcSi => full.optimal_rc_si().0,
+        LevelSet::RcSiSsi => Some(optimal_allocation_reference(txns)),
+        LevelSet::RcSi => optimal_allocation_rc_si_reference(txns),
     }
 }
 
@@ -304,4 +314,162 @@ fn delta_equals_full_recompute_rc_si() {
 fn delta_results_independent_of_thread_count() {
     run_sequence(0xDE17A0021, LevelSet::RcSiSsi, 4);
     run_sequence(0xDE17A0022, LevelSet::RcSi, 2);
+}
+
+/// Whether a delta was answered without any engine work.
+fn unsolved(r: &Realloc) -> bool {
+    let s = &r.stats;
+    s.probes + s.cache_hits + s.components_checked + s.components_cached == 0
+}
+
+/// Copies per class that a clone-heavy script moves across.
+const MAX_COPIES: usize = 3;
+
+/// A clone-heavy mutation script: transactions are copies of three
+/// distinct random programs and of [`lost_update`], and each step adds
+/// or removes one copy so classes move across one, two and three copies
+/// (the third copy, and a copy leaving three, is the no-solve path). About one mutation in six is
+/// first issued against an expired deadline and must fail with
+/// [`AllocError::Timeout`], leaving the set and optimum untouched,
+/// before it is applied. Every result must equal the reference optimum,
+/// and a mutation that leaves every class at two or more copies must
+/// cost no engine work at all. Returns how many 1 → 2 and 2 → 1 moves
+/// changed a level besides the moved copy's.
+fn run_clone_sequence(seed: u64, levels: LevelSet, components: bool) -> (usize, usize) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut objects = TransactionSet::default();
+    let mut programs: Vec<Vec<Op>> = Vec::new();
+    while programs.len() < 3 {
+        let ops = random_txn(&mut rng, &mut objects, 0, 3).ops().to_vec();
+        if !programs.contains(&ops) {
+            programs.push(ops);
+        }
+    }
+    programs.push(lost_update(&mut objects));
+    let mut alloc = Allocator::from_owned(TransactionSet::default())
+        .with_levels(levels)
+        .with_components(components);
+    let mut prev = alloc.current().expect("empty set is allocatable").clone();
+    // Live copies per program.
+    let mut copies: Vec<Vec<u32>> = vec![Vec::new(); programs.len()];
+    let mut next_id = 1u32;
+    // (copies before, copies after) of every applied mutation.
+    let mut moves: Vec<(usize, usize)> = Vec::new();
+    let (mut raised, mut lowered) = (0, 0);
+    let mut timeouts = 0;
+    for step in 0..48 {
+        let p = rng.random_range(0..programs.len());
+        let k = copies[p].len();
+        let add = k == 0 || (k < MAX_COPIES + 1 && rng.random_bool(0.6));
+        let forced = rng.random_bool(0.17);
+        let ctx = |what: &str| format!("seed {seed:#x} step {step} ({levels}): {what}");
+        if forced {
+            let before = alloc.txns().clone();
+            let err = if add {
+                let txn = Transaction::new(TxnId(next_id), programs[p].clone()).unwrap();
+                alloc.add_txn_by(txn, Some(Instant::now())).unwrap_err()
+            } else {
+                let victim = copies[p][rng.random_range(0..k)];
+                alloc
+                    .remove_txn_by(TxnId(victim), Some(Instant::now()))
+                    .unwrap_err()
+            };
+            assert_eq!(err, AllocError::Timeout, "{}", ctx("forced timeout"));
+            assert_eq!(alloc.txns(), &before, "{}", ctx("timed-out set"));
+            assert_eq!(
+                alloc.current().unwrap(),
+                &prev,
+                "{}",
+                ctx("timed-out optimum")
+            );
+            timeouts += 1;
+        }
+        if add {
+            let id = next_id;
+            next_id += 1;
+            let txn = Transaction::new(TxnId(id), programs[p].clone()).unwrap();
+            let mut attempted = alloc.txns().clone();
+            attempted.insert(txn.clone()).unwrap();
+            match alloc.add_txn(txn) {
+                Ok(r) => {
+                    assert_delta_matches(&r, &prev, alloc.txns(), levels, step);
+                    assert_eq!(
+                        unsolved(&r),
+                        k >= 2,
+                        "{}",
+                        ctx(&format!("add to a class of {k}: {}", r.stats))
+                    );
+                    raised += usize::from(k == 1 && r.changed.len() > 1);
+                    prev = r.allocation;
+                    copies[p].push(id);
+                    moves.push((k, k + 1));
+                }
+                Err(AllocError::NotAllocatable(_)) => {
+                    assert_eq!(
+                        full_recompute(&attempted, levels),
+                        None,
+                        "{}",
+                        ctx("rejected an allocatable set")
+                    );
+                    assert_eq!(alloc.current().unwrap(), &prev);
+                }
+                Err(e) => panic!("{}", ctx(&format!("unexpected error {e}"))),
+            }
+        } else {
+            let victim = copies[p].remove(rng.random_range(0..k));
+            let r = alloc
+                .remove_txn(TxnId(victim))
+                .expect("removal never fails");
+            assert_delta_matches(&r, &prev, alloc.txns(), levels, step);
+            if k >= 3 {
+                assert!(
+                    unsolved(&r),
+                    "{}",
+                    ctx(&format!("remove from a class of {k}: {}", r.stats))
+                );
+            }
+            lowered += usize::from(k == 2 && r.changed.len() > 1);
+            prev = r.allocation;
+            moves.push((k, k - 1));
+        }
+    }
+    for m in [(1, 2), (2, 3), (3, 2), (2, 1)] {
+        assert!(
+            moves.contains(&m),
+            "seed {seed:#x}: no class moved {} → {} copies — tune the script",
+            m.0,
+            m.1
+        );
+    }
+    assert!(timeouts > 0, "seed {seed:#x}: no forced timeout");
+    (raised, lowered)
+}
+
+/// Two copies of `R[x] W[x]` over an object of its own: the pair needs
+/// SI against a lost update, while one copy alone runs at RC, so a cap
+/// (or a no-solve shortcut) that conflates one copy with two changes the
+/// optimum.
+fn lost_update(objects: &mut TransactionSet) -> Vec<Op> {
+    let x = objects.intern_object("lost_update");
+    vec![Op::read(x), Op::write(x)]
+}
+
+#[test]
+fn clone_heavy_delta_equals_the_uncapped_reference() {
+    let (mut raised, mut lowered) = (0, 0);
+    let mut tally = |(r, l): (usize, usize)| {
+        raised += r;
+        lowered += l;
+    };
+    for seed in [0xDE17A0051u64, 0xDE17A0052, 0xDE17A0053] {
+        tally(run_clone_sequence(seed, LevelSet::RcSiSsi, true));
+        tally(run_clone_sequence(seed, LevelSet::RcSiSsi, false));
+    }
+    for seed in [0xDE17A0061u64, 0xDE17A0062] {
+        tally(run_clone_sequence(seed, LevelSet::RcSi, true));
+    }
+    assert!(
+        raised > 0 && lowered > 0,
+        "no 1 → 2 ({raised}) or 2 → 1 ({lowered}) move changed another level — tune the script"
+    );
 }

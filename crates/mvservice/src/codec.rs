@@ -496,6 +496,46 @@ fn encode_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Streams the bytes [`encode_value`] gives a value tree, piece by
+/// piece, for writers that encode straight from their own types without
+/// building the tree. A container header is followed by exactly `len`
+/// entries; an object entry is [`Encoder::key`] and then one value.
+pub(crate) struct Encoder<'a>(pub(crate) &'a mut Vec<u8>);
+
+impl Encoder<'_> {
+    pub(crate) fn object(&mut self, len: usize) {
+        self.0.push(TAG_OBJECT);
+        self.0.extend_from_slice(&(len as u32).to_le_bytes());
+    }
+
+    pub(crate) fn array(&mut self, len: usize) {
+        self.0.push(TAG_ARRAY);
+        self.0.extend_from_slice(&(len as u32).to_le_bytes());
+    }
+
+    pub(crate) fn key(&mut self, key: &str) {
+        encode_str(key, self.0);
+    }
+
+    pub(crate) fn str(&mut self, s: &str) {
+        self.0.push(TAG_STR);
+        encode_str(s, self.0);
+    }
+
+    pub(crate) fn u64(&mut self, n: u64) {
+        self.0.push(TAG_POS_INT);
+        self.0.extend_from_slice(&n.to_le_bytes());
+    }
+
+    pub(crate) fn null(&mut self) {
+        self.0.push(TAG_NULL);
+    }
+
+    pub(crate) fn value(&mut self, value: &Value) {
+        encode_value(value, self.0);
+    }
+}
+
 /// Decodes one value from `bytes`, requiring the payload to be exactly
 /// one value (trailing bytes are an error — a frame carries one value).
 pub fn decode_value(bytes: &[u8]) -> Result<Value, String> {

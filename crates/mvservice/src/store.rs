@@ -58,7 +58,7 @@
 //! drain ([`Store::commit`]) — one fsync covers a whole coalesced
 //! batch, the same alignment group commit gives the engine.
 
-use crate::codec::{decode_value, encode_value, FRAME_HEADER, FRAME_MAGIC};
+use crate::codec::{decode_value, encode_value, Encoder, FRAME_HEADER, FRAME_MAGIC};
 use crate::registry::RegistryEvent;
 use mvmodel::TxnId;
 use serde_json::{json, Value};
@@ -289,51 +289,62 @@ pub struct SnapshotState {
 }
 
 impl SnapshotState {
-    fn to_value(&self, seq: u64) -> Value {
-        let tenants: Vec<Value> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                json!({
-                    "name": t.name.as_str(),
-                    "lines": t.lines.clone(),
-                    "alloc": t.alloc.iter()
-                        .map(|(id, lvl)| json!([*id, lvl.as_str()]))
-                        .collect::<Vec<_>>(),
-                    "templates": t.templates.iter()
-                        .map(|(line, lvl)| json!([line.as_str(), lvl.as_str()]))
-                        .collect::<Vec<_>>(),
-                    "instances": t.instances.clone(),
-                })
-            })
-            .collect();
-        let replays: Vec<Value> = self
-            .replays
-            .iter()
-            .map(|(tenant, rid, reply)| json!([tenant.as_str(), *rid, reply.clone()]))
-            .collect();
-        let cache: Vec<Value> = self
-            .cache
-            .iter()
-            .map(|(key, entry)| {
-                let stored = match entry {
-                    None => Value::Null,
-                    Some(lvls) => Value::Array(
-                        lvls.iter()
-                            .map(|(id, lvl)| json!([*id, lvl.as_str()]))
-                            .collect(),
-                    ),
-                };
-                json!([(*key >> 64) as u64, *key as u64, stored])
-            })
-            .collect();
-        json!({
-            "version": 1,
-            "seq": seq,
-            "tenants": tenants,
-            "replays": replays,
-            "cache": cache,
-        })
+    /// Appends the snapshot payload for `seq` to `out`, encoded straight
+    /// from the state: the bytes [`encode_value`] gives the value
+    /// `{version, seq, tenants, replays, cache}` that
+    /// [`SnapshotState::from_value`] reads, without building that tree.
+    fn encode(&self, seq: u64, out: &mut Vec<u8>) {
+        let mut e = Encoder(out);
+        e.object(5);
+        e.key("version");
+        e.u64(1);
+        e.key("seq");
+        e.u64(seq);
+        e.key("tenants");
+        e.array(self.tenants.len());
+        for t in &self.tenants {
+            e.object(5);
+            e.key("name");
+            e.str(&t.name);
+            e.key("lines");
+            e.array(t.lines.len());
+            for line in &t.lines {
+                e.str(line);
+            }
+            e.key("alloc");
+            encode_id_levels(&mut e, &t.alloc);
+            e.key("templates");
+            e.array(t.templates.len());
+            for (line, lvl) in &t.templates {
+                e.array(2);
+                e.str(line);
+                e.str(lvl);
+            }
+            e.key("instances");
+            e.array(t.instances.len());
+            for &n in &t.instances {
+                e.u64(n);
+            }
+        }
+        e.key("replays");
+        e.array(self.replays.len());
+        for (tenant, rid, reply) in &self.replays {
+            e.array(3);
+            e.str(tenant);
+            e.u64(*rid);
+            e.value(reply);
+        }
+        e.key("cache");
+        e.array(self.cache.len());
+        for (key, entry) in &self.cache {
+            e.array(3);
+            e.u64((*key >> 64) as u64);
+            e.u64(*key as u64);
+            match entry {
+                None => e.null(),
+                Some(lvls) => encode_id_levels(&mut e, lvls),
+            }
+        }
     }
 
     fn from_value(v: &Value) -> Result<(SnapshotState, u64), String> {
@@ -417,6 +428,16 @@ impl SnapshotState {
                 .push(((u128::from(hi) << 64) | u128::from(lo), entry));
         }
         Ok((state, seq))
+    }
+}
+
+/// `[[id, level], …]`, as [`parse_id_level`] reads each pair.
+fn encode_id_levels(e: &mut Encoder<'_>, pairs: &[(u32, String)]) {
+    e.array(pairs.len());
+    for (id, lvl) in pairs {
+        e.array(2);
+        e.u64(u64::from(*id));
+        e.str(lvl);
     }
 }
 
@@ -573,7 +594,7 @@ impl Store {
             reply: reply.clone(),
         };
         let mut frame = Vec::new();
-        write_framed(&mut frame, &record.to_value());
+        write_framed(&mut frame, |out| encode_value(&record.to_value(), out));
         inner.wal.write_all(&frame)?;
         inner.next_seq += 1;
         inner.since_snapshot += 1;
@@ -628,7 +649,7 @@ impl Store {
         let mut inner = self.inner.lock().expect("store poisoned");
         let seq = inner.next_seq - 1;
         let mut framed = Vec::new();
-        write_framed(&mut framed, &state.to_value(seq));
+        write_framed(&mut framed, |out| state.encode(seq, out));
         let tmp = self.dir.join(format!("snap-{seq}.tmp"));
         let fin = self.dir.join(format!("snap-{seq}.snap"));
         {
@@ -713,14 +734,19 @@ enum FrameRead {
     Corrupt,
 }
 
-/// Appends `magic · len · payload · crc` to `out`.
-fn write_framed(out: &mut Vec<u8>, value: &Value) {
-    let mut payload = Vec::new();
-    encode_value(value, &mut payload);
+/// Appends `magic · len · payload · crc` to `out`, with `payload` the
+/// bytes `encode` appends: the header is reserved, then patched with the
+/// length, and the checksum covers the payload slice in place.
+fn write_framed(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header_at = out.len();
     out.push(FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    let body_at = out.len();
+    encode(out);
+    let plen = (out.len() - body_at) as u32;
+    out[header_at + 1..header_at + FRAME_HEADER].copy_from_slice(&plen.to_le_bytes());
+    let crc = crc32(&out[body_at..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 fn read_framed(bytes: &[u8], at: usize) -> FrameRead {
@@ -947,6 +973,106 @@ mod tests {
         assert_eq!(rec.records.len(), 1);
         assert!(rec.torn_bytes > 0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The value tree snapshots were once encoded from: the oracle of
+    /// the streamed snapshot encoding.
+    fn to_value(state: &SnapshotState, seq: u64) -> Value {
+        let tenants: Vec<Value> = state
+            .tenants
+            .iter()
+            .map(|t| {
+                json!({
+                    "name": t.name.as_str(),
+                    "lines": t.lines.clone(),
+                    "alloc": t.alloc.iter()
+                        .map(|(id, lvl)| json!([*id, lvl.as_str()]))
+                        .collect::<Vec<_>>(),
+                    "templates": t.templates.iter()
+                        .map(|(line, lvl)| json!([line.as_str(), lvl.as_str()]))
+                        .collect::<Vec<_>>(),
+                    "instances": t.instances.clone(),
+                })
+            })
+            .collect();
+        let replays: Vec<Value> = state
+            .replays
+            .iter()
+            .map(|(tenant, rid, reply)| json!([tenant.as_str(), *rid, reply.clone()]))
+            .collect();
+        let cache: Vec<Value> = state
+            .cache
+            .iter()
+            .map(|(key, entry)| {
+                let stored = match entry {
+                    None => Value::Null,
+                    Some(lvls) => Value::Array(
+                        lvls.iter()
+                            .map(|(id, lvl)| json!([*id, lvl.as_str()]))
+                            .collect(),
+                    ),
+                };
+                json!([(*key >> 64) as u64, *key as u64, stored])
+            })
+            .collect();
+        json!({
+            "version": 1,
+            "seq": seq,
+            "tenants": tenants,
+            "replays": replays,
+            "cache": cache,
+        })
+    }
+
+    #[test]
+    fn streamed_snapshot_bytes_equal_the_value_tree_encoding() {
+        let state = SnapshotState {
+            tenants: vec![
+                TenantSnapshot {
+                    name: "acme".to_string(),
+                    lines: vec!["T1: R[a] W[b] C".to_string(), "T2: W[a] C".to_string()],
+                    alloc: vec![(1, "SSI".to_string()), (2, "RC".to_string())],
+                    templates: vec![
+                        ("Balance: R[sav:$0] R[chk:$0]".to_string(), "RC".to_string()),
+                        ("Deposit: R[chk:$0] W[chk:$0]".to_string(), "SI".to_string()),
+                    ],
+                    instances: vec![3, u64::MAX],
+                },
+                TenantSnapshot {
+                    name: "default".to_string(),
+                    lines: Vec::new(),
+                    alloc: Vec::new(),
+                    templates: Vec::new(),
+                    instances: Vec::new(),
+                },
+            ],
+            replays: vec![
+                ("acme".to_string(), 7, json!({"ok": true, "req_id": 7})),
+                (
+                    "default".to_string(),
+                    0,
+                    json!({"ok": false, "error": "x", "n": -1}),
+                ),
+            ],
+            cache: vec![
+                (
+                    (9u128 << 64) | 42,
+                    Some(vec![(1, "SSI".to_string()), (2, "SI".to_string())]),
+                ),
+                (u128::MAX, None),
+                (0, Some(Vec::new())),
+            ],
+        };
+        for (s, seq) in [(&state, 12u64), (&SnapshotState::default(), 0)] {
+            let mut streamed = Vec::new();
+            s.encode(seq, &mut streamed);
+            let mut tree = Vec::new();
+            encode_value(&to_value(s, seq), &mut tree);
+            assert_eq!(streamed, tree);
+            let (back, back_seq) =
+                SnapshotState::from_value(&decode_value(&streamed).unwrap()).unwrap();
+            assert_eq!((&back, back_seq), (s, seq));
+        }
     }
 
     #[test]
